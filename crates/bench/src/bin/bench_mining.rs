@@ -14,7 +14,15 @@
 //!    the multi-lane compression gain (`simd_vs_scalar`) from the
 //!    widget-dominated HashCore numbers,
 //! 5. `mine_parallel` at 1, 2, 4, … threads, scanning a fixed nonce range
-//!    against an unreachable target so every nonce is evaluated.
+//!    against an unreachable target so every nonce is evaluated,
+//! 6. `stages` — ns/hash of each stage of one hash (gate 1, generation,
+//!    pre-decoding, execution, gate 2) at the 8k-instruction target, timed
+//!    through [`PipelineScratch`]'s public fields. Generation and
+//!    pre-decoding run on the `Program` path there (`generate_into`, then
+//!    `prepare`); the hashing path fuses them and is cheaper still. The
+//!    within-run `generation_below_execution` gate requires generation to
+//!    cost less than execution: the paper's premise is that a hash's cost
+//!    lies in executing the widget.
 //!
 //! Thread counts are clamped to the host's logical cores by default — a
 //! `threads=4` row timed on a 1-core host measures scheduler contention,
@@ -33,7 +41,10 @@
 
 use hashcore::{HashCore, HashScratch, MiningInput, Target, NONCE_LANES};
 use hashcore_baselines::{PreparedPow, Sha256dPow};
-use hashcore_profile::PerformanceProfile;
+use hashcore_crypto::{sha256, Sha256};
+use hashcore_gen::PipelineScratch;
+use hashcore_profile::{HashSeed, PerformanceProfile};
+use hashcore_vm::{ExecConfig, Executor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Write as _;
@@ -94,6 +105,95 @@ struct Measurement {
 impl Measurement {
     fn hashes_per_sec(&self) -> f64 {
         self.hashes as f64 / self.seconds
+    }
+}
+
+/// Widget size of the `stages` block: the miner's hot-loop size, where
+/// generation weighs most against execution.
+const STAGE_INSTRUCTIONS: u64 = 8_000;
+
+/// Hashes timed for the `stages` block.
+const STAGE_HASHES: u64 = 512;
+
+/// Mean ns/hash of each stage of one HashCore evaluation.
+#[derive(Debug, Clone, Copy, Default)]
+struct StageTimes {
+    hashes: u64,
+    gate1_ns: f64,
+    generate_ns: f64,
+    prepare_ns: f64,
+    execute_ns: f64,
+    gate2_ns: f64,
+}
+
+impl StageTimes {
+    fn generation_below_execution(&self) -> bool {
+        self.generate_ns < self.execute_ns
+    }
+}
+
+/// Times each stage of `hashes` evaluations of `pow` (single widget per
+/// hash) over nonces `0..hashes` of `header`, driving a
+/// [`PipelineScratch`] stage by stage. Every digest is checked against
+/// [`HashCore::hash_with_scratch`].
+fn time_stages(pow: &HashCore, header: &[u8], hashes: u64) -> StageTimes {
+    let generator = pow.generator();
+    let mut p = PipelineScratch::new();
+    let mut input = MiningInput::new(header);
+    let mut oracle = HashScratch::new();
+    // One fused run sizes every buffer to the generator's worst case; a
+    // few Program-path widgets then size the program's block buffers.
+    p.run(generator, &HashSeed::new([0; 32]), false)
+        .expect("widgets execute");
+    for warm in 0..8u8 {
+        generator.generate_into(&HashSeed::new([warm; 32]), &mut p.gen, &mut p.widget);
+    }
+    let mut seconds = [0f64; 5];
+    for nonce in 0..hashes {
+        let t0 = Instant::now();
+        let seed = HashSeed::new(sha256(input.with_nonce(nonce)));
+        let t1 = Instant::now();
+        generator.generate_into(&seed, &mut p.gen, &mut p.widget);
+        let t2 = Instant::now();
+        p.prepared
+            .prepare(&p.widget.program)
+            .expect("generated widgets validate");
+        let t3 = Instant::now();
+        Executor::new(ExecConfig {
+            collect_trace: false,
+            ..p.widget.exec_config()
+        })
+        .execute_prepared(&p.prepared, &mut p.exec)
+        .expect("widgets execute");
+        let t4 = Instant::now();
+        let mut gate = Sha256::new();
+        gate.update(seed.as_bytes());
+        gate.update(p.exec.output());
+        let digest = gate.finalize();
+        let t5 = Instant::now();
+        for (total, (start, end)) in
+            seconds
+                .iter_mut()
+                .zip([(t0, t1), (t1, t2), (t2, t3), (t3, t4), (t4, t5)])
+        {
+            *total += (end - start).as_secs_f64();
+        }
+        let reference = pow
+            .hash_with_scratch(input.with_nonce(nonce), &mut oracle)
+            .expect("widgets execute");
+        assert_eq!(
+            digest, reference.digest,
+            "stage pipeline digest, nonce {nonce}"
+        );
+    }
+    let ns = |s: f64| s * 1e9 / hashes as f64;
+    StageTimes {
+        hashes,
+        gate1_ns: ns(seconds[0]),
+        generate_ns: ns(seconds[1]),
+        prepare_ns: ns(seconds[2]),
+        execute_ns: ns(seconds[3]),
+        gate2_ns: ns(seconds[4]),
     }
 }
 
@@ -280,6 +380,11 @@ fn main() {
         });
     }
 
+    // 6. Stage split of one hash at the 8k target.
+    let mut stage_profile = PerformanceProfile::leela_like();
+    stage_profile.target_dynamic_instructions = STAGE_INSTRUCTIONS;
+    let stages = time_stages(&HashCore::new(stage_profile), header, STAGE_HASHES);
+
     let single_rate = measurements[1].hashes_per_sec();
     for m in &measurements {
         println!(
@@ -290,6 +395,11 @@ fn main() {
             m.hashes_per_sec() / single_rate
         );
     }
+    println!(
+        "  stages at {STAGE_INSTRUCTIONS} instructions (ns/hash): gate1 {:.0}, generate {:.0}, \
+         prepare {:.0}, execute {:.0}, gate2 {:.0}",
+        stages.gate1_ns, stages.generate_ns, stages.prepare_ns, stages.execute_ns, stages.gate2_ns
+    );
 
     let threads_used = thread_counts.iter().copied().max().unwrap_or(1);
     let json = render_json(
@@ -299,6 +409,7 @@ fn main() {
         parallelism,
         threads_used,
         allocations_per_hash,
+        &stages,
     );
     std::fs::write("BENCH_mining.json", &json).expect("BENCH_mining.json is writable");
     println!("wrote BENCH_mining.json");
@@ -325,6 +436,7 @@ fn render_json(
     logical_cores: usize,
     threads_used: usize,
     allocations_per_hash: f64,
+    stages: &StageTimes,
 ) -> String {
     let naive_rate = rate_of(measurements, "hash_naive", 1);
     let scratch_rate = rate_of(measurements, "hash_with_scratch", 1);
@@ -371,6 +483,23 @@ fn render_json(
         simd_vs_scalar.is_some_and(|ratio| ratio >= 1.0)
     );
     let _ = writeln!(json, "  \"thread_counts_within_cores\": {within_cores},");
+    let _ = writeln!(
+        json,
+        "  \"generation_below_execution\": {},",
+        stages.generation_below_execution()
+    );
+    let _ = writeln!(
+        json,
+        "  \"stages\": {{\"target_dynamic_instructions\": {STAGE_INSTRUCTIONS}, \
+         \"hashes\": {}, \"gate1_ns\": {:.0}, \"generate_ns\": {:.0}, \
+         \"prepare_ns\": {:.0}, \"execute_ns\": {:.0}, \"gate2_ns\": {:.0}}},",
+        stages.hashes,
+        stages.gate1_ns,
+        stages.generate_ns,
+        stages.prepare_ns,
+        stages.execute_ns,
+        stages.gate2_ns
+    );
     let _ = writeln!(json, "  \"measurements\": [");
     for (index, m) in measurements.iter().enumerate() {
         let comma = if index + 1 == measurements.len() {
@@ -440,7 +569,15 @@ mod tests {
             row("mine_parallel", 1, 40, 2.0),
             row("mine_parallel", 4, 40, 1.0),
         ];
-        let json = render_json(&measurements, 10, 20_000, 4, 4, 0.0);
+        let stages = StageTimes {
+            hashes: 8,
+            gate1_ns: 1_000.0,
+            generate_ns: 120_000.0,
+            prepare_ns: 40_000.0,
+            execute_ns: 190_000.0,
+            gate2_ns: 20_000.0,
+        };
+        let json = render_json(&measurements, 10, 20_000, 4, 4, 0.0, &stages);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"hashes_per_sec\": 20.000"));
@@ -453,6 +590,8 @@ mod tests {
         assert!(json.contains("\"batch_x4_vs_scratch_single_thread\": 1.500"));
         assert!(json.contains("\"simd_vs_scalar\": 2.000"));
         assert!(json.contains("\"parallel_4_threads_vs_single_thread\": 2.000"));
+        assert!(json.contains("\"generation_below_execution\": true"));
+        assert!(json.contains("\"generate_ns\": 120000, \"prepare_ns\": 40000"));
         assert!(json.ends_with("}\n"));
     }
 
@@ -467,7 +606,14 @@ mod tests {
             row("mine_parallel", 1, 40, 1.0),
             row("mine_parallel", 4, 40, 1.5),
         ];
-        let json = render_json(&measurements, 10, 20_000, 1, 4, 0.0);
+        // Generation slower than execution fails the stage gate.
+        let stages = StageTimes {
+            generate_ns: 2.0,
+            execute_ns: 1.0,
+            ..StageTimes::default()
+        };
+        let json = render_json(&measurements, 10, 20_000, 1, 4, 0.0, &stages);
+        assert!(json.contains("\"generation_below_execution\": false"));
         assert!(json.contains("\"thread_counts_within_cores\": false"));
         assert!(json.contains("\"parallel_4_threads_vs_single_thread\""));
         // No simd rows were taken: the ratio is absent, not defaulted.

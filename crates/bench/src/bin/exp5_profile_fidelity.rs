@@ -32,9 +32,7 @@ fn main() {
     let mut scratch = PipelineScratch::new();
 
     for i in 0..n {
-        scratch
-            .run(experiment.generator(), &experiment.widget_seed(i), true)
-            .expect("widgets execute");
+        experiment.run_widget(i, &mut scratch);
         let widget = &scratch.widget;
         let measured = profiler.profile("widget", &widget.program, scratch.exec.trace());
         to_target.push(ProfileDistance::between(&measured, &widget.target.profile).mix_l1);

@@ -19,6 +19,7 @@ use hashcore_crypto::sha256;
 use hashcore_gen::{GenScratch, GeneratedWidget, PipelineScratch, WidgetGenerator};
 use hashcore_profile::{HashSeed, PerformanceProfile, ProfileDistance};
 use hashcore_sim::{CoreConfig, CoreModel, WorkloadProfiler};
+use hashcore_vm::{ExecStats, Executor};
 use hashcore_workloads::{Workload, WorkloadParams};
 
 /// Measurements taken from one generated widget.
@@ -116,6 +117,21 @@ impl Experiment {
         self.measure_widget_with(index, &mut PipelineScratch::new())
     }
 
+    /// Generates the `index`-th experiment widget into `scratch.widget`
+    /// (its [`hashcore_isa::Program`] included, for the simulator and the
+    /// profiler) and executes it on the prepared path with the dynamic
+    /// trace collected into `scratch.exec`.
+    pub fn run_widget(&self, index: usize, scratch: &mut PipelineScratch) -> ExecStats {
+        self.widget_into(index, &mut scratch.gen, &mut scratch.widget);
+        scratch
+            .prepared
+            .prepare(&scratch.widget.program)
+            .expect("generated widgets validate");
+        Executor::new(scratch.widget.exec_config())
+            .execute_prepared(&scratch.prepared, &mut scratch.exec)
+            .expect("generated widgets always execute")
+    }
+
     /// Generates, executes and measures one widget through reusable scratch
     /// state: the widget runs on the prepared-execution path and the
     /// simulator and profiler replay the trace straight out of the
@@ -126,9 +142,7 @@ impl Experiment {
         index: usize,
         scratch: &mut PipelineScratch,
     ) -> WidgetMeasurement {
-        let stats = scratch
-            .run(&self.generator, &self.widget_seed(index), true)
-            .expect("generated widgets always execute");
+        let stats = self.run_widget(index, scratch);
         let widget = &scratch.widget;
         let trace = scratch.exec.trace();
         let sim = CoreModel::new(self.core).simulate(&widget.program, trace);

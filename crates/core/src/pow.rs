@@ -165,19 +165,15 @@ pub struct HashCoreOutput {
 /// One hash evaluation noises the profile, generates a widget, pre-decodes
 /// it and executes it; this scratch owns reusable storage for **every** one
 /// of those stages — the generation scratch (program builder and
-/// bookkeeping), the generated widget itself (program blocks, target
-/// profile), the prepared program's slot array, and the execution buffers
-/// (machine state, output, trace) — so the whole generate→prepare→execute
-/// chain stops allocating once the buffers reach steady-state size. Each
-/// mining or verification worker owns exactly one scratch; scratches are
-/// never shared between threads.
+/// bookkeeping), the widget's target profile, the prepared program's slot
+/// array, and the execution buffers (machine state, output, trace). The
+/// first hash pre-sizes all of them to the generator's worst-case bounds
+/// (see [`PipelineScratch::run`]), so every later hash allocates nothing.
+/// Each mining or verification worker owns exactly one scratch; scratches
+/// are never shared between threads.
 #[derive(Debug, Clone, Default)]
 pub struct HashScratch {
     pipeline: PipelineScratch,
-    /// Set once every buffer has been pre-sized to the generator's
-    /// worst-case bounds (first `hash_with_scratch` call), after which the
-    /// pipeline performs no heap allocation at all.
-    warmed: bool,
 }
 
 impl HashScratch {
@@ -431,7 +427,7 @@ impl HashCore {
     /// Identical to [`HashCore::hash`] — same digest, byte for byte — but
     /// the widget is pre-decoded into and executed from `scratch`, so a
     /// caller evaluating many inputs (every miner) allocates nothing per
-    /// hash once the scratch buffers reach steady-state size.
+    /// hash after the scratch's first one.
     ///
     /// # Errors
     ///
@@ -464,25 +460,6 @@ impl HashCore {
         seed: HashSeed,
         scratch: &mut HashScratch,
     ) -> Result<HashCoreOutput, HashCoreError> {
-        // One-time pre-sizing to the generator's worst-case bounds: the
-        // seed noise is capped, so the largest program, memory image and
-        // output any seed can produce are known up front (the generation
-        // scratch primes itself the same way on its first use). After this,
-        // no nonce — however its widget is shaped — grows a buffer.
-        if !scratch.warmed {
-            scratch.warmed = true;
-            let bounds = self.generator.bounds();
-            let pipeline = &mut scratch.pipeline;
-            pipeline.widget.program.reserve_blocks(bounds.max_blocks);
-            pipeline.prepared.prime(
-                bounds.max_blocks * (bounds.max_block_len + 1),
-                bounds.max_blocks,
-            );
-            pipeline
-                .exec
-                .prime(bounds.max_memory_bytes, bounds.max_output_bytes);
-        }
-
         // Widget generation and execution: w_i = W(seed_i), where seed_0 = s
         // and seed_i = G(s ‖ i) for the sequential-widget extension. The
         // second hash gate absorbs the seed and every widget output.
@@ -511,7 +488,7 @@ impl HashCore {
             report.dynamic_instructions += stats.dynamic_instructions;
             report.snapshots += stats.snapshot_count;
             report.output_bytes += scratch.pipeline.exec.output().len();
-            report.program_blocks += scratch.pipeline.widget.program.blocks().len();
+            report.program_blocks += scratch.pipeline.prepared.block_count();
         }
 
         // Second hash gate: H(x) = G(s ‖ w_0 ‖ … ‖ w_{k-1}).

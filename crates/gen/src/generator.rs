@@ -58,13 +58,15 @@ impl Default for GeneratorConfig {
 
 /// Reusable widget-generation state.
 ///
-/// One scratch serves a stream of seeds: the program builder's block table,
-/// instruction buffers and spare pool, the per-segment bookkeeping vectors
-/// and the class-budget table are all retained between
+/// One scratch serves a stream of seeds: the program builder's instruction
+/// arena and block table, the per-segment bookkeeping vectors and the
+/// class-budget table are all retained between
 /// [`WidgetGenerator::generate_into`] calls, so generation performs no heap
-/// allocation once the buffers reach their steady-state sizes. A scratch is
-/// the per-worker unit of the mining fan-out (each thread owns exactly one);
-/// it is not shared between threads.
+/// allocation once the buffers reach their steady-state sizes — from the
+/// first call on when a [`PipelineScratch`] has primed them to the
+/// generator's [`GenerationBounds`]. A scratch is the per-worker unit of the
+/// mining fan-out (each thread owns exactly one); it is not shared between
+/// threads.
 #[derive(Debug, Clone, Default)]
 pub struct GenScratch {
     builder: ProgramBuilder,
@@ -72,16 +74,23 @@ pub struct GenScratch {
     seg_arms: Vec<(BlockId, BlockId)>,
     diamond_unpredictable: Vec<bool>,
     budget: Vec<(OpClass, f64)>,
-    /// Set once the scratch has been pre-sized to the generator's
-    /// worst-case [`GenerationBounds`]; the first `generate_into` call does
-    /// it, so every later call is allocation-free.
-    warmed: bool,
 }
 
 impl GenScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Pre-sizes every buffer to `bounds`: the builder's arena to
+    /// `max_blocks × max_block_len` instructions, its block table to
+    /// `max_blocks` entries, the bookkeeping vectors to `max_segments`.
+    fn prime(&mut self, bounds: &GenerationBounds) {
+        self.builder.prime(bounds.max_blocks, bounds.max_block_len);
+        self.seg_heads.reserve(bounds.max_segments);
+        self.seg_arms.reserve(bounds.max_segments);
+        self.diamond_unpredictable.reserve(bounds.max_segments);
+        self.budget.reserve(OpClass::ALL.len());
     }
 }
 
@@ -112,26 +121,31 @@ pub struct GenerationBounds {
 }
 
 /// One reusable generate→prepare→execute pipeline: the generation scratch,
-/// the generated widget, its pre-decoded form, and the execution buffers.
+/// the generated widget's metadata, its pre-decoded form, and the execution
+/// buffers.
 ///
 /// This is the common composition every batch consumer of widgets needs —
-/// the HashCore hash scratch, the RandomX-lite baseline, the measurement
-/// harnesses — factored out so the pipeline contract (buffer cycling,
-/// worst-case pre-sizing, the two-buffer-set pool rule) lives in one place.
-/// Fields are public so callers with extra stages (hash gates between
-/// widgets, profilers over the trace) can drive them individually; most
-/// callers just use [`PipelineScratch::run`]. One scratch belongs to one
-/// worker; it is never shared between threads.
+/// the HashCore hash scratch, the RandomX-lite baseline — factored out so
+/// the pipeline contract (the fused generate→prepare step, worst-case
+/// pre-sizing) lives in one place. Fields are public so callers with extra
+/// stages (hash gates between widgets, stage timers) can drive them
+/// individually; most callers just use [`PipelineScratch::run`]. One scratch
+/// belongs to one worker; it is never shared between threads.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineScratch {
     /// Generation state (program builder, bookkeeping vectors).
     pub gen: GenScratch,
-    /// The most recently generated widget.
+    /// The most recently generated widget. [`PipelineScratch::run`] fills
+    /// its seed, target and expected snapshot count but not its
+    /// `program`: it pre-decodes straight from the builder.
     pub widget: GeneratedWidget,
-    /// The widget's pre-decoded, validate-once form.
+    /// The widget's pre-decoded form.
     pub prepared: PreparedProgram,
     /// Execution state: machine, widget output, dynamic trace.
     pub exec: ExecScratch,
+    /// Set once every buffer has been pre-sized to the generator's
+    /// worst-case [`GenerationBounds`] (first `run`).
+    primed: bool,
 }
 
 impl PipelineScratch {
@@ -143,23 +157,43 @@ impl PipelineScratch {
     /// Generates the widget for `seed` with `generator`, pre-decodes it and
     /// executes it, returning the execution stats.
     ///
+    /// Generation and pre-decoding are fused: the widget is laid out into
+    /// [`PipelineScratch::prepared`] straight from the program builder, so
+    /// no [`Program`] is built and the generator's valid-by-construction
+    /// output is not validated again. The prepared program equals
+    /// [`PreparedProgram::new`] over [`WidgetGenerator::generate`]'s
+    /// program; callers that need the [`Program`] itself (simulator,
+    /// profiler, disassembler) use [`WidgetGenerator::generate_into`].
+    ///
     /// The widget output — and, when `collect_trace` is set, the dynamic
-    /// trace — is left in [`PipelineScratch::exec`]; the widget itself stays
-    /// in [`PipelineScratch::widget`]. Allocation-free at steady state, like
-    /// the stages it composes.
+    /// trace — is left in [`PipelineScratch::exec`]. The first call
+    /// pre-sizes every buffer to `generator`'s [`GenerationBounds`], so
+    /// every later call with the same generator allocates nothing, whatever
+    /// the seed.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::StepLimitExceeded`] if the widget does not halt
-    /// within its step limit (generated widgets never fail validation).
+    /// within its step limit.
     pub fn run(
         &mut self,
         generator: &WidgetGenerator,
         seed: &HashSeed,
         collect_trace: bool,
     ) -> Result<ExecStats, ExecError> {
-        generator.generate_into(seed, &mut self.gen, &mut self.widget);
-        self.prepared.prepare(&self.widget.program)?;
+        if !self.primed {
+            self.primed = true;
+            let bounds = generator.bounds();
+            self.gen.prime(&bounds);
+            self.prepared.prime(
+                bounds.max_blocks * (bounds.max_block_len + 1),
+                bounds.max_blocks,
+            );
+            self.exec
+                .prime(bounds.max_memory_bytes, bounds.max_output_bytes);
+        }
+        let entry = generator.build(seed, &mut self.gen, &mut self.widget);
+        self.prepared.prepare_built(&self.gen.builder, entry);
         Executor::new(ExecConfig {
             collect_trace,
             ..self.widget.exec_config()
@@ -332,21 +366,6 @@ impl WidgetGenerator {
         }
     }
 
-    /// Pre-sizes `scratch` to this generator's [`GenerationBounds`].
-    fn warm_scratch(&self, scratch: &mut GenScratch) {
-        let bounds = self.bounds();
-        // Two full buffer sets: while a program is being built, the
-        // previous program still owns its instruction buffers — they only
-        // return to the pool when `finish_into` replaces it.
-        scratch
-            .builder
-            .prime(2 * bounds.max_blocks, bounds.max_block_len);
-        scratch.seg_heads.reserve(bounds.max_segments);
-        scratch.seg_arms.reserve(bounds.max_segments);
-        scratch.diamond_unpredictable.reserve(bounds.max_segments);
-        scratch.budget.reserve(OpClass::ALL.len());
-    }
-
     /// Generates the widget for `seed`.
     ///
     /// Convenience wrapper over [`WidgetGenerator::generate_into`] with
@@ -372,17 +391,27 @@ impl WidgetGenerator {
         scratch: &mut GenScratch,
         out: &mut GeneratedWidget,
     ) {
-        if !scratch.warmed {
-            scratch.warmed = true;
-            self.warm_scratch(scratch);
-        }
+        let entry = self.build(seed, scratch, out);
+        scratch.builder.finish_into(entry, &mut out.program);
+        debug_assert!(out.program.validate().is_ok());
+    }
+
+    /// Builds the widget for `seed` in `scratch`'s program builder and fills
+    /// `out`'s seed, target and expected snapshot count (not its program),
+    /// returning the entry block. The builder then holds a complete, valid
+    /// program.
+    fn build(
+        &self,
+        seed: &HashSeed,
+        scratch: &mut GenScratch,
+        out: &mut GeneratedWidget,
+    ) -> BlockId {
         let GenScratch {
             builder,
             seg_heads,
             seg_arms,
             diamond_unpredictable,
             budget,
-            warmed: _,
         } = scratch;
 
         apply_seed_into(&self.base, seed, &self.config.noise, &mut out.target);
@@ -530,6 +559,8 @@ impl WidgetGenerator {
             OpClass::Store,
             OpClass::Vector,
         ];
+        let half_shares =
+            work_classes.map(|class| class_budget(budget, class) / segments as f64 * 0.5);
 
         for s in 0..segments {
             let next = if s + 1 == segments {
@@ -537,18 +568,11 @@ impl WidgetGenerator {
             } else {
                 seg_heads[s + 1]
             };
-            let share = |b: f64| b / segments as f64;
 
             // Head block: half of the segment's work (the other half lives in
             // the diamond arms, of which exactly one executes).
             emitter.builder.begin_reserved(seg_heads[s]);
-            for &class in &work_classes {
-                let per_segment = share(class_budget(budget, class));
-                let count = stochastic_round(per_segment * 0.5, &mut code_rng);
-                for _ in 0..count {
-                    emitter.emit_work(class, &mut code_rng, &mut mem_rng);
-                }
-            }
+            emitter.fill(&work_classes, &half_shares, &mut code_rng, &mut mem_rng);
             let (cond, src1, src2) = emitter.condition(diamond_unpredictable[s], &mut code_rng);
             emitter.builder.terminate(Terminator::Branch {
                 cond,
@@ -563,13 +587,7 @@ impl WidgetGenerator {
             // segment equals its budget.
             for arm in [seg_arms[s].0, seg_arms[s].1] {
                 emitter.builder.begin_reserved(arm);
-                for &class in &work_classes {
-                    let per_segment = share(class_budget(budget, class));
-                    let count = stochastic_round(per_segment * 0.5, &mut code_rng);
-                    for _ in 0..count {
-                        emitter.emit_work(class, &mut code_rng, &mut mem_rng);
-                    }
-                }
+                emitter.fill(&work_classes, &half_shares, &mut code_rng, &mut mem_rng);
                 emitter.builder.terminate(Terminator::Jump(next));
             }
         }
@@ -593,11 +611,9 @@ impl WidgetGenerator {
         emitter.builder.snapshot();
         emitter.builder.terminate(Terminator::Halt);
 
-        emitter.builder.finish_into(entry, &mut out.program);
-        debug_assert!(out.program.validate().is_ok());
-
         out.seed = *seed;
         out.expected_snapshots = outer_iters + 1;
+        entry
     }
 }
 
@@ -655,6 +671,22 @@ impl Emitter<'_> {
         match self.last_fp {
             Some(reg) if rng.chance(self.profile.dependency.serial_fraction) => reg,
             _ => self.fp_reg(rng),
+        }
+    }
+
+    /// Fills the open block with work: for each class in turn, its share of
+    /// the per-segment budget, stochastically rounded to a count.
+    fn fill(
+        &mut self,
+        classes: &[OpClass],
+        shares: &[f64],
+        code_rng: &mut WidgetRng,
+        mem_rng: &mut WidgetRng,
+    ) {
+        for (&class, &share) in classes.iter().zip(shares) {
+            for _ in 0..stochastic_round(share, code_rng) {
+                self.emit_work(class, code_rng, mem_rng);
+            }
         }
     }
 

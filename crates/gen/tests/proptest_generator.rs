@@ -1,11 +1,15 @@
-//! Property-based equivalence of the scratch-reuse generation path: for any
-//! stream of seeds, `generate_into` driven through one long-lived scratch
-//! and output widget must produce exactly what fresh-allocation `generate`
-//! produces — program bytes, target profile, snapshot expectation, all of it.
+//! Property-based equivalence of the scratch-reuse generation paths: for
+//! any stream of seeds, `generate_into` driven through one long-lived
+//! scratch and output widget must produce exactly what fresh-allocation
+//! `generate` produces — program bytes, target profile, snapshot
+//! expectation, all of it — and `PipelineScratch::run`, which pre-decodes
+//! straight from the program builder, must prepare exactly what
+//! `PreparedProgram::new` makes of that program.
 
-use hashcore_gen::{GenScratch, GeneratedWidget, WidgetGenerator};
+use hashcore_gen::{GenScratch, GeneratedWidget, PipelineScratch, WidgetGenerator};
 use hashcore_isa::encode;
 use hashcore_profile::{HashSeed, PerformanceProfile};
+use hashcore_vm::{ExecConfig, Executor, PreparedProgram};
 use proptest::prelude::*;
 
 fn small_generator(target_instructions: u64) -> WidgetGenerator {
@@ -42,6 +46,42 @@ proptest! {
             prop_assert_eq!(widget.seed, fresh.seed);
             prop_assert_eq!(widget.expected_snapshots, fresh.expected_snapshots);
             prop_assert!(widget.program.validate().is_ok());
+        }
+    }
+
+    /// The fused generate→prepare path ≡ `PreparedProgram::new` over
+    /// `generate`'s program, at both benchmark widget sizes, through one
+    /// pipeline reused across a stream of seeds; executing either gives the
+    /// same output.
+    #[test]
+    fn fused_prepare_matches_preparing_the_generated_program(
+        seeds in prop::collection::vec(prop::array::uniform32(any::<u8>()), 1..4),
+        large in any::<bool>(),
+    ) {
+        let mut profile = PerformanceProfile::leela_like();
+        profile.target_dynamic_instructions = if large { 128_000 } else { 8_000 };
+        let generator = WidgetGenerator::new(profile);
+        let mut pipeline = PipelineScratch::new();
+        for raw in seeds {
+            let seed = HashSeed::new(raw);
+            let stats = pipeline.run(&generator, &seed, false).unwrap();
+
+            let fresh = generator.generate(&seed);
+            prop_assert!(fresh.program.validate().is_ok());
+            let reference = PreparedProgram::new(&fresh.program).unwrap();
+            prop_assert_eq!(&pipeline.prepared, &reference);
+            prop_assert_eq!(&pipeline.widget.target, &fresh.target);
+            prop_assert_eq!(pipeline.widget.seed, fresh.seed);
+            prop_assert_eq!(pipeline.widget.expected_snapshots, fresh.expected_snapshots);
+
+            let execution = Executor::new(ExecConfig {
+                collect_trace: false,
+                ..fresh.exec_config()
+            })
+            .execute(&fresh.program)
+            .unwrap();
+            prop_assert_eq!(pipeline.exec.output(), &execution.output[..]);
+            prop_assert_eq!(stats.dynamic_instructions, execution.dynamic_instructions);
         }
     }
 

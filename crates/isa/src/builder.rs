@@ -2,7 +2,7 @@
 
 use crate::block::{BasicBlock, BlockId, Terminator};
 use crate::inst::{BranchCond, FpOp, Instruction, IntAluOp, IntMulOp, VecOp};
-use crate::program::Program;
+use crate::program::{validate_blocks, Program, ValidateError};
 use crate::reg::{FpReg, IntReg, VecReg};
 
 /// Incremental builder for [`Program`]s.
@@ -12,6 +12,13 @@ use crate::reg::{FpReg, IntReg, VecReg};
 /// populated with the instruction helpers, and closed with
 /// [`ProgramBuilder::terminate`]. Both the reference workloads and the widget
 /// generator construct programs through this type.
+///
+/// Block bodies are appended to one flat instruction arena and each block id
+/// maps to its span of it, so building a program copies no instruction and
+/// a reused builder allocates nothing once the arena has grown.
+/// [`ProgramBuilder::blocks`] reads the finished program in place; that is
+/// how the mining path pre-decodes a widget without materialising a
+/// [`Program`].
 ///
 /// # Examples
 ///
@@ -48,22 +55,23 @@ use crate::reg::{FpReg, IntReg, VecReg};
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProgramBuilder {
-    blocks: Vec<Option<BasicBlock>>,
-    current: Option<BlockId>,
-    pending: Vec<Instruction>,
+    /// Every block body, back to back in the order the blocks were opened;
+    /// the open block's body is the tail.
+    arena: Vec<Instruction>,
+    /// Per block id: its body's span of `arena` and its terminator, or
+    /// `None` until the block is terminated.
+    spans: Vec<Option<BlockSpan>>,
+    /// The open block and the arena offset where its body starts.
+    current: Option<(BlockId, usize)>,
     memory_size: usize,
-    /// Recycled instruction buffers, sorted by capacity (ascending).
-    ///
-    /// [`ProgramBuilder::terminate`] draws the smallest adequate buffer for
-    /// each finished block and [`ProgramBuilder::reset`] /
-    /// [`ProgramBuilder::finish_into`] return buffers to the pool, so a
-    /// builder that is reused across programs of similar shape stops
-    /// allocating once the pool has warmed up. Best-fit selection matters:
-    /// because every block is compatible with any buffer at least as large
-    /// as itself, taking the smallest adequate buffer preserves the larger
-    /// ones for the larger blocks still to come, and reuse succeeds whenever
-    /// any assignment of buffers to blocks could.
-    spare: Vec<Vec<Instruction>>,
+}
+
+/// A terminated block: `arena[start..end]` plus its terminator.
+#[derive(Debug, Clone, Copy)]
+struct BlockSpan {
+    start: usize,
+    end: usize,
+    terminator: Terminator,
 }
 
 impl Default for ProgramBuilder {
@@ -80,86 +88,49 @@ impl ProgramBuilder {
     /// `memory_size` bytes (rounded up to the next power of two).
     pub fn new(memory_size: usize) -> Self {
         Self {
-            blocks: Vec::new(),
+            arena: Vec::new(),
+            spans: Vec::new(),
             current: None,
-            pending: Vec::new(),
             memory_size: memory_size.max(8).next_power_of_two(),
-            spare: Vec::new(),
         }
     }
 
     /// Clears the builder for a new program with a `memory_size`-byte data
-    /// segment, retaining every allocation (the block table, the pending
-    /// buffer and the recycled instruction buffers of any blocks built since
-    /// the last [`ProgramBuilder::finish_into`]).
+    /// segment, retaining the instruction arena's and block table's
+    /// allocations.
     pub fn reset(&mut self, memory_size: usize) {
+        self.arena.clear();
+        self.spans.clear();
         self.current = None;
-        self.pending.clear();
-        let mut drained = std::mem::take(&mut self.blocks);
-        for block in drained.drain(..).flatten() {
-            self.recycle(block.instructions);
-        }
-        self.blocks = drained;
         self.memory_size = memory_size.max(8).next_power_of_two();
     }
 
-    /// Returns an empty buffer for a block of `len` instructions: the
-    /// smallest recycled buffer that already has the capacity, or a fresh
-    /// allocation when none qualifies.
-    fn take_spare(&mut self, len: usize) -> Vec<Instruction> {
-        let idx = self.spare.partition_point(|buf| buf.capacity() < len);
-        if idx < self.spare.len() {
-            self.spare.remove(idx)
-        } else {
-            Vec::with_capacity(len)
-        }
-    }
-
-    /// Returns an instruction buffer to the spare pool (cleared, sorted by
-    /// capacity).
-    fn recycle(&mut self, mut buffer: Vec<Instruction>) {
-        buffer.clear();
-        let idx = self
-            .spare
-            .partition_point(|buf| buf.capacity() < buffer.capacity());
-        self.spare.insert(idx, buffer);
-    }
-
     /// Pre-sizes the builder for programs of up to `blocks` blocks of up to
-    /// `block_capacity` instructions each: the spare pool is grown to
-    /// `blocks` buffers of at least `block_capacity`, and the block table
-    /// and pending buffer are reserved to match.
+    /// `block_capacity` instructions each: the arena is reserved to
+    /// `blocks × block_capacity` instructions and the block table to
+    /// `blocks` entries.
     ///
     /// A caller that knows an upper bound on every program it will ever
-    /// build — the widget generator's seed-noise caps bound the segment
-    /// count and block sizes over *all* seeds — primes the builder once and
-    /// every later build is allocation-free, rather than allocation-free
-    /// only after the (unbounded-tail) empirical warm-up has happened to
-    /// visit the worst case.
+    /// build — the widget generator's seed-noise caps bound the block count
+    /// and block sizes over *all* seeds — primes the builder once and every
+    /// later build is allocation-free, rather than allocation-free only
+    /// after the (unbounded-tail) empirical warm-up has happened to visit
+    /// the worst case.
     pub fn prime(&mut self, blocks: usize, block_capacity: usize) {
-        for buf in &mut self.spare {
-            if buf.capacity() < block_capacity {
-                buf.reserve_exact(block_capacity);
-            }
+        let instructions = blocks.saturating_mul(block_capacity);
+        if self.arena.capacity() < instructions {
+            self.arena.reserve_exact(instructions - self.arena.len());
         }
-        while self.spare.len() < blocks {
-            self.spare.push(Vec::with_capacity(block_capacity));
-        }
-        self.spare.sort_by_key(Vec::capacity);
-        if self.blocks.capacity() < blocks {
-            self.blocks.reserve_exact(blocks - self.blocks.len());
-        }
-        if self.pending.capacity() < block_capacity {
-            self.pending
-                .reserve_exact(block_capacity - self.pending.len());
+        if self.spans.capacity() < blocks {
+            self.spans.reserve_exact(blocks - self.spans.len());
         }
     }
 
     /// Reserves a block id without opening it, so forward branches can refer
     /// to blocks that will be populated later.
     pub fn reserve_block(&mut self) -> BlockId {
-        let id = BlockId(self.blocks.len() as u32);
-        self.blocks.push(None);
+        let id = BlockId(self.spans.len() as u32);
+        self.spans.push(None);
         id
     }
 
@@ -182,11 +153,10 @@ impl ProgramBuilder {
     pub fn begin_reserved(&mut self, id: BlockId) {
         assert!(self.current.is_none(), "a block is already open");
         assert!(
-            self.blocks[id.index()].is_none(),
+            self.spans[id.index()].is_none(),
             "block {id} was already populated"
         );
-        self.current = Some(id);
-        self.pending.clear();
+        self.current = Some((id, self.arena.len()));
     }
 
     /// Appends a raw instruction to the open block.
@@ -196,7 +166,7 @@ impl ProgramBuilder {
     /// Panics if no block is open.
     pub fn push(&mut self, inst: Instruction) {
         assert!(self.current.is_some(), "no block is open");
-        self.pending.push(inst);
+        self.arena.push(inst);
     }
 
     /// Appends `dst = op(src1, src2)` on the integer ALU.
@@ -300,15 +270,12 @@ impl ProgramBuilder {
     ///
     /// Panics if no block is open.
     pub fn terminate(&mut self, terminator: Terminator) {
-        let id = self.current.take().expect("no block is open");
-        // Copy the pending instructions into a recycled buffer instead of
-        // surrendering the pending buffer itself: `pending` then keeps its
-        // capacity forever (it only ever needs to grow to the largest single
-        // block), and the block body comes from the best-fit spare pool.
-        let mut body = self.take_spare(self.pending.len());
-        body.extend_from_slice(&self.pending);
-        self.pending.clear();
-        self.blocks[id.index()] = Some(BasicBlock::new(id, body, terminator));
+        let (id, start) = self.current.take().expect("no block is open");
+        self.spans[id.index()] = Some(BlockSpan {
+            start,
+            end: self.arena.len(),
+            terminator,
+        });
     }
 
     /// Convenience: close the open block with a conditional branch.
@@ -331,7 +298,49 @@ impl ProgramBuilder {
 
     /// Number of blocks reserved so far.
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        self.spans.len()
+    }
+
+    /// Size of the program's data segment in bytes.
+    pub fn memory_size(&self) -> usize {
+        self.memory_size
+    }
+
+    /// The program's blocks in id order, each as its body and terminator:
+    /// the program [`ProgramBuilder::finish`] would return, read in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block is still open, and — when the iteration reaches it
+    /// — if a reserved block was never populated.
+    pub fn blocks(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (&[Instruction], Terminator)> + Clone + '_ {
+        assert!(self.current.is_none(), "a block is still open");
+        self.spans.iter().enumerate().map(|(i, span)| {
+            let span = span.unwrap_or_else(|| panic!("reserved block bb{i} was never populated"));
+            (&self.arena[span.start..span.end], span.terminator)
+        })
+    }
+
+    /// Checks the program [`ProgramBuilder::finish`] would return for
+    /// `entry` against [`Program::validate`]'s invariants, without building
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ValidateError`] found, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block is still open or a reserved block was never
+    /// populated.
+    pub fn validate(&self, entry: BlockId) -> Result<(), ValidateError> {
+        let blocks = self
+            .blocks()
+            .enumerate()
+            .map(|(i, (body, terminator))| (BlockId(i as u32), body, terminator));
+        validate_blocks(blocks, entry, self.memory_size)
     }
 
     /// Finishes the program with `entry` as its entry block.
@@ -340,7 +349,7 @@ impl ProgramBuilder {
     ///
     /// Panics if a block is still open or any reserved block was never
     /// populated.
-    pub fn finish(mut self, entry: BlockId) -> Program {
+    pub fn finish(self, entry: BlockId) -> Program {
         let mut out = Program::default();
         self.finish_into(entry, &mut out);
         out
@@ -348,12 +357,11 @@ impl ProgramBuilder {
 
     /// Finishes the program into `out`, reusing `out`'s storage.
     ///
-    /// The previous contents of `out` are discarded; its block table keeps
-    /// its allocation and its old blocks' instruction buffers are recycled
-    /// into this builder's spare pool. Together with
-    /// [`ProgramBuilder::reset`] this makes the generate-into-the-same-
-    /// program loop allocation-free at steady state: buffers cycle
-    /// builder → program → builder as each new program replaces the last.
+    /// The previous contents of `out` are discarded, but block `i` of the
+    /// new program reuses the instruction buffer of block `i` of the old
+    /// one, so rebuilding programs of similar shape into the same `out`
+    /// stops allocating once those buffers have grown. The builder is left
+    /// as it was; [`ProgramBuilder::reset`] starts the next program.
     ///
     /// The resulting program is byte-identical to what
     /// [`ProgramBuilder::finish`] returns for the same builder state.
@@ -362,16 +370,22 @@ impl ProgramBuilder {
     ///
     /// Panics if a block is still open or any reserved block was never
     /// populated.
-    pub fn finish_into(&mut self, entry: BlockId, out: &mut Program) {
-        assert!(self.current.is_none(), "a block is still open");
-        let mut old = std::mem::take(&mut out.blocks);
-        for block in old.drain(..) {
-            self.recycle(block.instructions);
-        }
-        out.blocks = old;
-        for (i, slot) in self.blocks.drain(..).enumerate() {
-            let block = slot.unwrap_or_else(|| panic!("reserved block bb{i} was never populated"));
-            out.blocks.push(block);
+    pub fn finish_into(&self, entry: BlockId, out: &mut Program) {
+        let blocks = self.blocks();
+        out.blocks.truncate(blocks.len());
+        for (i, (body, terminator)) in blocks.enumerate() {
+            let id = BlockId(i as u32);
+            match out.blocks.get_mut(i) {
+                Some(block) => {
+                    block.id = id;
+                    block.instructions.clear();
+                    block.instructions.extend_from_slice(body);
+                    block.terminator = terminator;
+                }
+                None => out
+                    .blocks
+                    .push(BasicBlock::new(id, body.to_vec(), terminator)),
+            }
         }
         out.entry = entry;
         out.memory_size = self.memory_size;
@@ -430,6 +444,27 @@ mod tests {
         b.finish(entry);
     }
 
+    #[test]
+    fn validate_matches_validating_the_finished_program() {
+        // A valid program, one without a halt, and one with a bad entry.
+        let mut b = ProgramBuilder::new(64);
+        let entry = b.begin_block();
+        let exit = b.reserve_block();
+        b.terminate(Terminator::Jump(exit));
+        b.begin_reserved(exit);
+        b.snapshot();
+        b.terminate(Terminator::Halt);
+        let mut looping = ProgramBuilder::new(64);
+        let spin = looping.begin_block();
+        looping.terminate(Terminator::Jump(spin));
+        for (builder, entry) in [(&b, entry), (&looping, spin), (&b, BlockId(2))] {
+            let expected = builder.clone().finish(entry).validate();
+            assert_eq!(builder.validate(entry), expected);
+        }
+        assert_eq!(b.validate(entry), Ok(()));
+        assert_eq!(looping.validate(spin), Err(ValidateError::NoHalt));
+    }
+
     fn counted_loop(b: &mut ProgramBuilder, iters: i64) -> Program {
         let entry = b.begin_block();
         b.load_imm(IntReg(0), iters);
@@ -456,7 +491,7 @@ mod tests {
 
         // Rebuilding the same program through reset + finish_into must be
         // identical, and a different program built afterwards must not be
-        // contaminated by recycled buffers.
+        // contaminated by reused buffers.
         let mut reused = ProgramBuilder::new(4096);
         let mut out = Program::default();
         for iters in [3, 10, 7, 10] {
@@ -490,7 +525,7 @@ mod tests {
         let entry = b.begin_block();
         b.load_imm(IntReg(0), 1);
         b.terminate(Terminator::Halt);
-        // Never finished: reset must recycle the terminated block and allow
+        // Never finished: reset must discard the terminated block and allow
         // a clean rebuild.
         b.reset(256);
         let entry2 = b.begin_block();
@@ -504,32 +539,41 @@ mod tests {
     }
 
     #[test]
-    fn spare_pool_uses_best_fit_buffers() {
-        let mut b = ProgramBuilder::new(64);
-        // Build a program with one large and one small block, then rebuild:
-        // the second round must reuse the recycled buffers without mixing
-        // contents up.
-        for _ in 0..3 {
+    fn arena_reuse_keeps_programs_separate() {
+        // Alternate a program with one large and one small block and a
+        // program with the sizes swapped through one builder and one output
+        // program: the second and later rounds reuse the arena and the
+        // output's block buffers, and every round must equal the program a
+        // fresh builder produces.
+        fn build(b: &mut ProgramBuilder, big_first: bool) -> BlockId {
             b.reset(64);
             let entry = b.begin_block();
-            for i in 0..32 {
+            let len = if big_first { 32 } else { 1 };
+            for i in 0..len {
                 b.load_imm(IntReg((i % 8) as u8), i);
             }
             let exit = b.reserve_block();
             b.terminate(Terminator::Jump(exit));
             b.begin_reserved(exit);
-            b.snapshot();
-            b.terminate(Terminator::Halt);
-            let mut out = Program::default();
-            b.finish_into(entry, &mut out);
-            // `finish_into` leaves the block table drained but keeps the
-            // blocks; recycle them for the next round.
-            assert_eq!(out.blocks().len(), 2);
-            assert_eq!(out.block(entry).instructions.len(), 32);
-            b.reset(64);
-            for block in out.blocks() {
-                assert!(block.instructions.len() <= 32);
+            for i in 0..33 - len {
+                b.load_imm(IntReg((i % 8) as u8), -i);
             }
+            b.terminate(Terminator::Halt);
+            entry
+        }
+        let mut b = ProgramBuilder::new(64);
+        let mut out = Program::default();
+        for round in 0..4 {
+            let big_first = round % 2 == 0;
+            let entry = build(&mut b, big_first);
+            b.finish_into(entry, &mut out);
+            let mut fresh = ProgramBuilder::new(64);
+            let fresh_entry = build(&mut fresh, big_first);
+            assert_eq!(out, fresh.finish(fresh_entry), "round {round}");
+            assert_eq!(
+                out.block(entry).instructions.len(),
+                if big_first { 32 } else { 1 }
+            );
         }
     }
 

@@ -1,7 +1,7 @@
 //! Widget programs: a control-flow graph of basic blocks plus a data segment.
 
 use crate::block::{BasicBlock, BlockId, Terminator};
-use crate::inst::OpClass;
+use crate::inst::{Instruction, OpClass};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -104,6 +104,68 @@ impl fmt::Display for ValidateError {
 
 impl std::error::Error for ValidateError {}
 
+/// The checks behind [`Program::validate`] and
+/// [`crate::ProgramBuilder::validate`], over the program's blocks in table
+/// order, each as its recorded id, body and terminator.
+pub(crate) fn validate_blocks<'a>(
+    blocks: impl ExactSizeIterator<Item = (BlockId, &'a [Instruction], Terminator)>,
+    entry: BlockId,
+    memory_size: usize,
+) -> Result<(), ValidateError> {
+    let count = blocks.len();
+    if count == 0 {
+        return Err(ValidateError::Empty);
+    }
+    // The executor's machine state addresses memory through a 64-bit
+    // mask in 8-byte words, so the floor matches its `memory_size >= 8`
+    // requirement — a validated program must never crash the verifier.
+    if memory_size < 8 || !memory_size.is_power_of_two() {
+        return Err(ValidateError::BadMemorySize { size: memory_size });
+    }
+    if entry.index() >= count {
+        return Err(ValidateError::BadEntry { entry });
+    }
+    let mut has_halt = false;
+    for (index, (id, instructions, terminator)) in blocks.enumerate() {
+        if id.index() != index {
+            return Err(ValidateError::MisnumberedBlock { index, id });
+        }
+        for (i, inst) in instructions.iter().enumerate() {
+            if !inst.registers_valid() {
+                return Err(ValidateError::InvalidRegister {
+                    block: id,
+                    index: i,
+                });
+            }
+        }
+        // Successor edges are matched inline rather than through
+        // `Terminator::successors` so validation performs no heap
+        // allocation: debug builds validate every widget the hashing path
+        // pre-decodes, and that path must not allocate.
+        let check = |to: BlockId| {
+            if to.index() >= count {
+                Err(ValidateError::DanglingEdge { from: id, to })
+            } else {
+                Ok(())
+            }
+        };
+        match terminator {
+            Terminator::Halt => has_halt = true,
+            Terminator::Jump(to) => check(to)?,
+            Terminator::Branch {
+                taken, not_taken, ..
+            } => {
+                check(taken)?;
+                check(not_taken)?;
+            }
+        }
+    }
+    if !has_halt {
+        return Err(ValidateError::NoHalt);
+    }
+    Ok(())
+}
+
 /// Static statistics of a program, used by the generator's self-checks and by
 /// the experiment harness to report widget sizes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -173,62 +235,13 @@ impl Program {
     ///
     /// Returns the first [`ValidateError`] found, if any.
     pub fn validate(&self) -> Result<(), ValidateError> {
-        if self.blocks.is_empty() {
-            return Err(ValidateError::Empty);
-        }
-        // The executor's machine state addresses memory through a 64-bit
-        // mask in 8-byte words, so the floor matches its `memory_size >= 8`
-        // requirement — a validated program must never crash the verifier.
-        if self.memory_size < 8 || !self.memory_size.is_power_of_two() {
-            return Err(ValidateError::BadMemorySize {
-                size: self.memory_size,
-            });
-        }
-        if self.entry.index() >= self.blocks.len() {
-            return Err(ValidateError::BadEntry { entry: self.entry });
-        }
-        let mut has_halt = false;
-        for (index, block) in self.blocks.iter().enumerate() {
-            if block.id.index() != index {
-                return Err(ValidateError::MisnumberedBlock {
-                    index,
-                    id: block.id,
-                });
-            }
-            for (i, inst) in block.instructions.iter().enumerate() {
-                if !inst.registers_valid() {
-                    return Err(ValidateError::InvalidRegister {
-                        block: block.id,
-                        index: i,
-                    });
-                }
-            }
-            // Successor edges are matched inline rather than through
-            // `Terminator::successors` so validation performs no heap
-            // allocation: the prepared-execution path re-validates one
-            // program per nonce.
-            let check = |to: BlockId| {
-                if to.index() >= self.blocks.len() {
-                    Err(ValidateError::DanglingEdge { from: block.id, to })
-                } else {
-                    Ok(())
-                }
-            };
-            match block.terminator {
-                Terminator::Halt => has_halt = true,
-                Terminator::Jump(to) => check(to)?,
-                Terminator::Branch {
-                    taken, not_taken, ..
-                } => {
-                    check(taken)?;
-                    check(not_taken)?;
-                }
-            }
-        }
-        if !has_halt {
-            return Err(ValidateError::NoHalt);
-        }
-        Ok(())
+        validate_blocks(
+            self.blocks
+                .iter()
+                .map(|block| (block.id, &block.instructions[..], block.terminator)),
+            self.entry,
+            self.memory_size,
+        )
     }
 
     /// Returns the static program counter assigned to the first slot of each

@@ -12,7 +12,10 @@
 //!   into a block-major slot array in which the array index *is* the static
 //!   program counter and every terminator's successor is resolved to the
 //!   target's slot index — the dispatch loop never chases
-//!   `BlockId → block → instruction iterator` indirection again;
+//!   `BlockId → block → instruction iterator` indirection again. The mining
+//!   path flattens straight out of the widget generator's
+//!   [`ProgramBuilder`] ([`PreparedProgram::prepare_built`]), skipping both
+//!   the [`Program`] and its re-validation;
 //! * [`ExecScratch`] owns the machine state and the output/trace buffers and
 //!   is re-seeded in place, so repeated executions perform no heap
 //!   allocation once the buffers have grown to their steady-state sizes.
@@ -25,7 +28,9 @@
 //! equivalence tests in `tests/proptest_executor.rs`).
 
 use crate::state::MachineState;
-use hashcore_isa::{BlockId, BranchCond, Instruction, IntReg, Program, Terminator, ValidateError};
+use hashcore_isa::{
+    BlockId, BranchCond, Instruction, IntReg, Program, ProgramBuilder, Terminator, ValidateError,
+};
 
 /// One pre-decoded slot of a [`PreparedProgram`].
 ///
@@ -60,9 +65,10 @@ pub(crate) enum Slot {
 
 /// A validated, pre-decoded widget program ready for repeated execution.
 ///
-/// Construction runs [`Program::validate`] exactly once; afterwards the
-/// interpreter dispatch loop indexes straight into the flattened slot
-/// array. Reuse one value across runs via [`PreparedProgram::prepare`] to
+/// Construction from a [`Program`] runs [`Program::validate`] exactly once;
+/// afterwards the interpreter dispatch loop indexes straight into the
+/// flattened slot array. Reuse one value across runs via
+/// [`PreparedProgram::prepare`] or [`PreparedProgram::prepare_built`] to
 /// keep the slot buffer's allocation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PreparedProgram {
@@ -90,10 +96,9 @@ impl PreparedProgram {
 
     /// Re-prepares `self` from `program` in place, reusing the slot buffer.
     ///
-    /// This is the zero-allocation path for the mining loop, where every
-    /// nonce produces a fresh widget of roughly the same size: once the
-    /// buffer has grown to the steady-state program size, preparation
-    /// performs no heap allocation.
+    /// This is the zero-allocation path for callers that hold a
+    /// [`Program`]: once the buffer has grown to the steady-state program
+    /// size, preparation performs no heap allocation.
     ///
     /// # Errors
     ///
@@ -102,28 +107,59 @@ impl PreparedProgram {
     /// to reuse.
     pub fn prepare(&mut self, program: &Program) -> Result<(), ValidateError> {
         program.validate()?;
+        self.flatten(
+            program
+                .blocks()
+                .iter()
+                .map(|block| (&block.instructions[..], block.terminator)),
+            program.entry(),
+            program.memory_size(),
+        );
+        Ok(())
+    }
 
-        self.slots.clear();
-        let blocks = program.blocks();
+    /// Re-prepares `self` straight from a finished [`ProgramBuilder`]: the
+    /// result equals `prepare(&builder.finish(entry))`, but no [`Program`]
+    /// is built and nothing is validated again.
+    ///
+    /// This is the mining path's input: the widget generator's output is
+    /// valid by construction (a debug build still checks it), so the
+    /// validation pass and the copy into per-block buffers are skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block is still open or a reserved block was never
+    /// populated, as [`ProgramBuilder::finish`] does.
+    pub fn prepare_built(&mut self, builder: &ProgramBuilder, entry: BlockId) {
+        debug_assert_eq!(builder.validate(entry), Ok(()));
+        self.flatten(builder.blocks(), entry, builder.memory_size());
+    }
 
+    /// Lays `blocks` (in id order, each as its body and terminator) out as
+    /// the block-major slot array, resolving every successor to its
+    /// target's first slot. The caller has established that the blocks
+    /// form a valid program.
+    fn flatten<'a, I>(&mut self, blocks: I, entry: BlockId, memory_size: usize)
+    where
+        I: ExactSizeIterator<Item = (&'a [Instruction], Terminator)> + Clone,
+    {
         // First pass: compute the slot index of every block's first slot.
         let mut next = 0u32;
         let mut block_starts = std::mem::take(&mut self.block_starts_buf);
         block_starts.clear();
         block_starts.reserve(blocks.len());
-        for block in blocks {
+        for (body, _) in blocks.clone() {
             block_starts.push(next);
-            next += block.instructions.len() as u32 + 1;
+            next += body.len() as u32 + 1;
         }
 
         // Second pass: emit body instructions and resolved terminators.
+        self.slots.clear();
         self.slots.reserve(next as usize);
         let resolve = |id: BlockId| block_starts[id.index()];
-        for block in blocks {
-            for inst in &block.instructions {
-                self.slots.push(Slot::Inst(*inst));
-            }
-            self.slots.push(match block.terminator {
+        for (body, terminator) in blocks {
+            self.slots.extend(body.iter().map(|&inst| Slot::Inst(inst)));
+            self.slots.push(match terminator {
                 Terminator::Halt => Slot::Halt,
                 Terminator::Jump(target) => Slot::Jump {
                     target: resolve(target),
@@ -144,11 +180,10 @@ impl PreparedProgram {
             });
         }
 
-        self.entry_pc = block_starts[program.entry().index()];
-        self.memory_size = program.memory_size();
-        self.block_count = blocks.len();
+        self.entry_pc = block_starts[entry.index()];
+        self.memory_size = memory_size;
+        self.block_count = block_starts.len();
         self.block_starts_buf = block_starts;
-        Ok(())
     }
 
     /// Size of the program's data segment in bytes.
@@ -245,14 +280,60 @@ mod tests {
     use hashcore_isa::{IntAluOp, ProgramBuilder, Terminator};
 
     fn two_block_program() -> Program {
+        two_block_builder().0.finish(BlockId(0))
+    }
+
+    /// The builder of [`two_block_program`], with its entry block opened
+    /// second so arena order differs from id order.
+    fn two_block_builder() -> (ProgramBuilder, BlockId) {
         let mut b = ProgramBuilder::new(256);
-        let entry = b.begin_block();
+        let entry = b.reserve_block();
+        let second = b.begin_block();
+        b.int_alu(IntAluOp::Add, IntReg(2), IntReg(0), IntReg(1));
+        b.snapshot();
+        b.terminate(Terminator::Halt);
+        b.begin_reserved(entry);
         b.load_imm(IntReg(0), 1);
         b.load_imm(IntReg(1), 2);
-        let second = b.reserve_block();
         b.terminate(Terminator::Jump(second));
-        b.begin_reserved(second);
-        b.int_alu(IntAluOp::Add, IntReg(2), IntReg(0), IntReg(1));
+        (b, entry)
+    }
+
+    #[test]
+    fn preparing_from_the_builder_equals_preparing_the_program() {
+        let (builder, entry) = two_block_builder();
+        let reference = PreparedProgram::new(&builder.clone().finish(entry)).expect("validates");
+        // Into a fresh value and into one still holding a larger program.
+        let mut prepared = PreparedProgram::default();
+        prepared.prepare_built(&builder, entry);
+        assert_eq!(prepared, reference);
+        let mut reused = PreparedProgram::new(&larger_program()).expect("validates");
+        reused.prepare_built(&builder, entry);
+        assert_eq!(reused, reference);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved block bb1 was never populated")]
+    fn preparing_from_the_builder_rejects_unpopulated_blocks() {
+        let mut b = ProgramBuilder::new(64);
+        let entry = b.begin_block();
+        let dangling = b.reserve_block();
+        b.terminate(Terminator::Jump(dangling));
+        PreparedProgram::default().prepare_built(&b, entry);
+    }
+
+    fn larger_program() -> Program {
+        let mut b = ProgramBuilder::new(4096);
+        let entry = b.begin_block();
+        for i in 0..8 {
+            b.load_imm(IntReg(i), i64::from(i));
+        }
+        let blocks = [b.reserve_block(), b.reserve_block()];
+        b.terminate(Terminator::Jump(blocks[0]));
+        b.begin_reserved(blocks[0]);
+        b.int_alu(IntAluOp::Xor, IntReg(3), IntReg(1), IntReg(2));
+        b.terminate(Terminator::Jump(blocks[1]));
+        b.begin_reserved(blocks[1]);
         b.snapshot();
         b.terminate(Terminator::Halt);
         b.finish(entry)

@@ -17,6 +17,7 @@ gates=(
   'BENCH_mining.json|"allocations_per_hash": 0.0000'
   'BENCH_mining.json|"simd_faster_than_scalar": true'
   'BENCH_mining.json|"thread_counts_within_cores": true'
+  'BENCH_mining.json|"generation_below_execution": true'
   'BENCH_sync.json|"converged": true'
   'BENCH_sync.json|"runs_identical": true'
   'BENCH_adversary.json|"spam_accepted": 0'

@@ -101,6 +101,63 @@ fn mining_and_verification_agree_across_difficulties() {
     }
 }
 
+/// Golden HashCore digests: `leela_like` at two widget sizes, header bytes
+/// `0..80`, `HashCore::mining_input(header, nonce)`. Any change to seed
+/// noise, widget generation, pre-decoding, execution or the hash gates that
+/// alters consensus output moves one of these.
+#[test]
+fn hashcore_digests_are_pinned() {
+    const GOLDEN: [(u64, u64, &str, usize); 6] = [
+        (
+            8_000,
+            0,
+            "488603a9c020b009ad9fb0ea1c4098934701e6fbdaefbe1eb6f19ba772dfa3cd",
+            1044,
+        ),
+        (
+            8_000,
+            1,
+            "c0ebd6145f931ab4d621c41fdf22f0d71e22bbb948732694d38df2e1c202edb2",
+            1044,
+        ),
+        (
+            8_000,
+            0xdead_beef,
+            "fd6faa5af314f7d9b13737defb1c7a082417b27d50cb4c17746cd6ace8e86b84",
+            1023,
+        ),
+        (
+            128_000,
+            0,
+            "3ed65e59b4bda84519083ef0cbc509255e09ad51ee9f31f464e2ff75858cc8c9",
+            969,
+        ),
+        (
+            128_000,
+            1,
+            "74db2eda258900b064ad195671a854fcea5f1f6409a34f060ae71642e13c1d86",
+            996,
+        ),
+        (
+            128_000,
+            0xdead_beef,
+            "4ddc5f29847f912ae84c9e78a8c59699246c423ebd53018b4da21f2d4552de56",
+            963,
+        ),
+    ];
+    let header: Vec<u8> = (0..80u8).collect();
+    for (instructions, nonce, digest, blocks) in GOLDEN {
+        let mut profile = PerformanceProfile::leela_like();
+        profile.target_dynamic_instructions = instructions;
+        let out = HashCore::new(profile)
+            .hash(&HashCore::mining_input(&header, nonce))
+            .unwrap();
+        let case = format!("{instructions} instructions, nonce {nonce:#x}");
+        assert_eq!(hashcore_crypto::hex::encode(&out.digest), digest, "{case}");
+        assert_eq!(out.widget.program_blocks, blocks, "{case}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
