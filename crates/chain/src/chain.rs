@@ -428,11 +428,70 @@ fn rule_check(
     None
 }
 
-/// [`validate_segment`], additionally enforcing a [`DifficultyRule`] along
-/// the segment when `ctx` is supplied. Per block the check order is:
-/// linkage, Merkle, embedded-target PoW, then the rule checks (version
-/// commitment and expected target as [`InvalidReason::Target`], the cost
-/// admission bound as [`InvalidReason::Pow`]).
+/// One PoW evaluation of a block header: the digest that identifies the
+/// block and its observed verifier-cost ratio (cost units over the PoW
+/// function's nominal budget), both from a single widget run.
+///
+/// The segment verifiers return one observation per block, and
+/// [`ForkTree::apply_observed`](crate::ForkTree::apply_observed) stores a
+/// block with one, so a node pays for each header's proof of work once.
+/// Only [`ForkTree::observe`](crate::ForkTree::observe) and the segment
+/// verifiers make observations. Each remembers the header it was made for:
+/// applying it to any other header panics instead of storing a block under
+/// a foreign digest.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PowObservation {
+    header: BlockHeader,
+    digest: Digest256,
+    cost_ratio: f64,
+}
+
+impl PowObservation {
+    /// Evaluates `header` once through the cost-observing scratch path.
+    /// `header_bytes` is the caller's reusable serialisation buffer.
+    pub(crate) fn evaluate<P: PreparedPow>(
+        pow: &P,
+        header: &BlockHeader,
+        header_bytes: &mut Vec<u8>,
+        scratch: &mut P::Scratch,
+    ) -> Self {
+        header.write_bytes(header_bytes);
+        let (digest, cost) = pow.pow_hash_cost_scratch(header_bytes, scratch);
+        Self {
+            header: header.clone(),
+            digest,
+            cost_ratio: cost.ratio(pow.nominal_cost()),
+        }
+    }
+
+    /// The header this observation was made for.
+    pub(crate) fn header(&self) -> &BlockHeader {
+        &self.header
+    }
+
+    /// The header's PoW digest.
+    pub fn digest(&self) -> Digest256 {
+        self.digest
+    }
+
+    /// The header's observed verifier-cost ratio (1.0 for PoW functions
+    /// reporting nominal cost).
+    pub fn cost_ratio(&self) -> f64 {
+        self.cost_ratio
+    }
+}
+
+/// The scratch-path segment verifier: the checks of [`validate_segment`],
+/// plus a [`DifficultyRule`] enforced along the segment when `ctx` is
+/// supplied. Per block the check order is: linkage, Merkle,
+/// embedded-target PoW, then the rule checks (version commitment and
+/// expected target as [`InvalidReason::Target`], the cost admission bound
+/// as [`InvalidReason::Pow`]).
+///
+/// Every header is evaluated once, through one reused
+/// [`PreparedPow::Scratch`]; on success the evaluations come back as one
+/// [`PowObservation`] per block, in segment order, ready for
+/// [`ForkTree::apply_observed`](crate::ForkTree::apply_observed).
 ///
 /// # Errors
 ///
@@ -442,42 +501,34 @@ pub fn validate_segment_with_rule<P: PreparedPow>(
     blocks: &[Block],
     mut prev_hash: Digest256,
     ctx: Option<RuleContext<'_>>,
-) -> Result<(), ChainError> {
-    let Some(ctx) = ctx else {
-        return validate_segment(pow, blocks, prev_hash);
-    };
-    let nominal = pow.nominal_cost();
+) -> Result<Vec<PowObservation>, ChainError> {
     let mut scratch = P::Scratch::default();
     let mut header_bytes = Vec::new();
-    let mut state: RuleState = ctx.anchor;
+    let mut state: RuleState = ctx.and_then(|ctx| ctx.anchor);
+    let mut observed = Vec::with_capacity(blocks.len());
     for (height, block) in blocks.iter().enumerate() {
+        let invalid = |reason| ChainError::InvalidBlock { height, reason };
         if block.header.prev_hash != prev_hash {
-            return Err(ChainError::InvalidBlock {
-                height,
-                reason: InvalidReason::Linkage,
-            });
+            return Err(invalid(InvalidReason::Linkage));
         }
         if !block.merkle_consistent() {
-            return Err(ChainError::InvalidBlock {
-                height,
-                reason: InvalidReason::Merkle,
-            });
+            return Err(invalid(InvalidReason::Merkle));
         }
-        block.header.write_bytes(&mut header_bytes);
-        let (digest, cost) = pow.pow_hash_cost_scratch(&header_bytes, &mut scratch);
-        if !Target::from_threshold(block.header.target).is_met_by(&digest) {
-            return Err(ChainError::InvalidBlock {
-                height,
-                reason: InvalidReason::Pow,
-            });
+        let observation =
+            PowObservation::evaluate(pow, &block.header, &mut header_bytes, &mut scratch);
+        if !Target::from_threshold(block.header.target).is_met_by(&observation.digest) {
+            return Err(invalid(InvalidReason::Pow));
         }
-        let ratio = cost.ratio(nominal);
-        if let Some(reason) = rule_check(&ctx, &mut state, &block.header, &digest, ratio) {
-            return Err(ChainError::InvalidBlock { height, reason });
+        if let Some(ctx) = &ctx {
+            let (digest, ratio) = (&observation.digest, observation.cost_ratio);
+            if let Some(reason) = rule_check(ctx, &mut state, &block.header, digest, ratio) {
+                return Err(invalid(reason));
+            }
         }
-        prev_hash = digest;
+        prev_hash = observation.digest;
+        observed.push(observation);
     }
-    Ok(())
+    Ok(observed)
 }
 
 /// The per-chunk result of one parallel-validation worker.
@@ -487,15 +538,13 @@ struct ChunkOutcome {
     /// Lowest-height check failure inside the chunk (the chunk's first
     /// block's linkage is checked by the stitch phase instead).
     first_error: Option<(usize, InvalidReason)>,
-    /// PoW digest of the chunk's last block header, for the next chunk's
-    /// boundary linkage check.
-    last_digest: Digest256,
-    /// Per-block `(digest, cost ratio)` observations, in chunk order —
-    /// collected only for rule-aware validation, where the stitch phase
-    /// replays the (pure-arithmetic) rule walk over them. May stop short
-    /// when the worker was cut off, which can only happen above the
-    /// globally first error height.
-    observed: Vec<(Digest256, f64)>,
+    /// One observation per evaluated block, in chunk order. The stitch
+    /// phase checks the next chunk's boundary linkage against the last
+    /// digest, replays the (pure-arithmetic) rule walk over them, and on
+    /// success hands them to the caller. May stop short when the worker
+    /// was cut off, which can only happen above the globally first error
+    /// height.
+    observed: Vec<PowObservation>,
 }
 
 /// Validates a block sequence in parallel, with results — acceptance,
@@ -547,20 +596,23 @@ pub fn validate_segment_parallel<P: PreparedPow + Sync>(
     threads: usize,
     prev_hash: Digest256,
 ) -> Result<(), ChainError> {
-    validate_segment_parallel_with_rule(pow, blocks, threads, prev_hash, None)
+    validate_segment_parallel_with_rule(pow, blocks, threads, prev_hash, None).map(drop)
 }
 
 /// [`validate_segment_parallel`], additionally enforcing a
 /// [`DifficultyRule`] along the segment when `ctx` is supplied — the
-/// parallel form of [`validate_segment_with_rule`], with identical results.
+/// parallel form of [`validate_segment_with_rule`], with identical results,
+/// observations included.
 ///
-/// Workers hash their chunks exactly as before, additionally recording each
-/// block's `(digest, cost ratio)`; the rule walk itself (version
-/// commitment, expected target, cost admission) is pure arithmetic and runs
-/// in the stitch phase over the recorded observations, in sequential order.
-/// Per block the basic checks (linkage, Merkle, embedded-target PoW) come
-/// before the rule checks, so at equal heights a basic failure wins — the
-/// same order the sequential path reports.
+/// Workers evaluate each block of their chunk once, recording its
+/// [`PowObservation`]; the rule walk itself (version commitment, expected
+/// target, cost admission) is pure arithmetic and runs in the stitch phase
+/// over the recorded observations, in sequential order. Per block the
+/// basic checks (linkage, Merkle, embedded-target PoW) come before the
+/// rule checks, so at equal heights a basic failure wins — the same order
+/// the sequential path reports. On success the observations come back in
+/// segment order, ready for
+/// [`ForkTree::apply_observed`](crate::ForkTree::apply_observed).
 ///
 /// # Errors
 ///
@@ -575,7 +627,7 @@ pub fn validate_segment_parallel_with_rule<P: PreparedPow + Sync>(
     threads: usize,
     prev_hash: Digest256,
     ctx: Option<RuleContext<'_>>,
-) -> Result<(), ChainError> {
+) -> Result<Vec<PowObservation>, ChainError> {
     assert!(
         threads > 0,
         "validate_blocks_parallel requires at least one thread"
@@ -584,8 +636,6 @@ pub fn validate_segment_parallel_with_rule<P: PreparedPow + Sync>(
     if threads <= 1 {
         return validate_segment_with_rule(pow, blocks, prev_hash, ctx);
     }
-    let observe = ctx.is_some();
-    let nominal = pow.nominal_cost();
 
     // Lowest height at which any worker found a genuine check failure.
     // Blocks above it cannot affect the result (the lowest-height candidate
@@ -606,10 +656,8 @@ pub fn validate_segment_parallel_with_rule<P: PreparedPow + Sync>(
                 scope.spawn(move || {
                     let mut scratch = P::Scratch::default();
                     let mut header_bytes = Vec::new();
-                    let mut prev_digest: Option<Digest256> = None;
                     let mut first_error: Option<(usize, InvalidReason)> = None;
-                    let mut last_digest = [0u8; 32];
-                    let mut observed = Vec::new();
+                    let mut observed: Vec<PowObservation> = Vec::with_capacity(hi - lo);
                     for (i, block) in blocks[lo..hi].iter().enumerate() {
                         let height = lo + i;
                         // Past the cutoff this chunk's work — including its
@@ -623,8 +671,8 @@ pub fn validate_segment_parallel_with_rule<P: PreparedPow + Sync>(
                         // Same per-block check order as the sequential path:
                         // linkage, Merkle commitment, then proof of work.
                         if first_error.is_none() {
-                            if let Some(prev) = prev_digest {
-                                if block.header.prev_hash != prev {
+                            if let Some(prev) = observed.last() {
+                                if block.header.prev_hash != prev.digest {
                                     first_error = Some((height, InvalidReason::Linkage));
                                     cutoff.fetch_min(height, Ordering::AcqRel);
                                 }
@@ -634,28 +682,24 @@ pub fn validate_segment_parallel_with_rule<P: PreparedPow + Sync>(
                             first_error = Some((height, InvalidReason::Merkle));
                             cutoff.fetch_min(height, Ordering::AcqRel);
                         }
-                        block.header.write_bytes(&mut header_bytes);
-                        let digest = if observe {
-                            let (digest, cost) =
-                                pow.pow_hash_cost_scratch(&header_bytes, &mut scratch);
-                            observed.push((digest, cost.ratio(nominal)));
-                            digest
-                        } else {
-                            pow.pow_hash_scratch(&header_bytes, &mut scratch)
-                        };
+                        let observation = PowObservation::evaluate(
+                            pow,
+                            &block.header,
+                            &mut header_bytes,
+                            &mut scratch,
+                        );
                         if first_error.is_none()
-                            && !Target::from_threshold(block.header.target).is_met_by(&digest)
+                            && !Target::from_threshold(block.header.target)
+                                .is_met_by(&observation.digest)
                         {
                             first_error = Some((height, InvalidReason::Pow));
                             cutoff.fetch_min(height, Ordering::AcqRel);
                         }
-                        prev_digest = Some(digest);
-                        last_digest = digest;
+                        observed.push(observation);
                     }
                     ChunkOutcome {
                         lo,
                         first_error,
-                        last_digest,
                         observed,
                     }
                 })
@@ -681,7 +725,7 @@ pub fn validate_segment_parallel_with_rule<P: PreparedPow + Sync>(
                 first = Some(candidate);
             }
         }
-        prev_digest = outcome.last_digest;
+        prev_digest = outcome.observed.last().map_or([0u8; 32], |o| o.digest);
     }
     // Rule walk over the recorded observations, in sequential order. Every
     // height below the basic first error has a recorded observation (the
@@ -691,13 +735,14 @@ pub fn validate_segment_parallel_with_rule<P: PreparedPow + Sync>(
     if let Some(ctx) = ctx {
         let mut state: RuleState = ctx.anchor;
         'walk: for outcome in &outcomes {
-            for (i, (digest, ratio)) in outcome.observed.iter().enumerate() {
+            for (i, observation) in outcome.observed.iter().enumerate() {
                 let height = outcome.lo + i;
                 if first.is_some_and(|(h, _)| height >= h) {
                     break 'walk;
                 }
+                let (digest, ratio) = (&observation.digest, observation.cost_ratio);
                 if let Some(reason) =
-                    rule_check(&ctx, &mut state, &blocks[height].header, digest, *ratio)
+                    rule_check(&ctx, &mut state, &blocks[height].header, digest, ratio)
                 {
                     first = Some((height, reason));
                     break 'walk;
@@ -706,7 +751,8 @@ pub fn validate_segment_parallel_with_rule<P: PreparedPow + Sync>(
         }
     }
     match first {
-        None => Ok(()),
+        // No failure means no cutoff: every chunk ran to its end.
+        None => Ok(outcomes.into_iter().flat_map(|o| o.observed).collect()),
         Some((height, reason)) => Err(ChainError::InvalidBlock { height, reason }),
     }
 }

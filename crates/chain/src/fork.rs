@@ -14,7 +14,7 @@
 //! their arrival order — the property the convergence proptests pin down.
 
 use crate::block::Block;
-use crate::chain::{validate_segment, ChainError, InvalidReason};
+use crate::chain::{validate_segment, ChainError, InvalidReason, PowObservation};
 use crate::difficulty::{cost_commitment_of, DifficultyRule};
 use hashcore::Target;
 use hashcore_baselines::PreparedPow;
@@ -174,9 +174,10 @@ struct Entry {
     work: f64,
     /// The block's own observed verifier-cost ratio (1.0 for PoW functions
     /// reporting nominal cost). A pure function of the header bytes —
-    /// cached from the apply-time hash so commitment checks and reports
-    /// never re-execute widgets — and deliberately *not* part of
-    /// [`ForkTree::fingerprint`], which it is derivable from.
+    /// cached from the observation the block was applied with, so
+    /// commitment checks and reports never re-execute widgets — and
+    /// deliberately *not* part of [`ForkTree::fingerprint`], which it is
+    /// derivable from.
     cost_ratio: f64,
 }
 
@@ -469,6 +470,13 @@ impl<P: PreparedPow> ForkTree<P> {
             .pow_hash_scratch(&self.header_bytes, &mut self.scratch)
     }
 
+    /// Evaluates a header's PoW once through the tree's scratch, keeping
+    /// both the digest and the observed verifier-cost ratio — what
+    /// [`ForkTree::apply_observed`] stores a block with.
+    pub fn observe(&mut self, header: &crate::block::BlockHeader) -> PowObservation {
+        PowObservation::evaluate(&self.pow, header, &mut self.header_bytes, &mut self.scratch)
+    }
+
     /// Evaluates the PoW digest of a bare header together with its observed
     /// verifier-cost ratio (cost units over the PoW function's nominal
     /// budget) — one hash, both observations. The ratio is a pure function
@@ -477,11 +485,8 @@ impl<P: PreparedPow> ForkTree<P> {
         &mut self,
         header: &crate::block::BlockHeader,
     ) -> (Digest256, f64) {
-        header.write_bytes(&mut self.header_bytes);
-        let (digest, cost) = self
-            .pow
-            .pow_hash_cost_scratch(&self.header_bytes, &mut self.scratch);
-        (digest, cost.ratio(self.pow.nominal_cost()))
+        let observation = self.observe(header);
+        (observation.digest(), observation.cost_ratio())
     }
 
     /// The observed verifier-cost ratio of a stored block (1.0 when the
@@ -507,7 +512,34 @@ impl<P: PreparedPow> ForkTree<P> {
     /// [`DifficultyRule`] expects at this branch position
     /// ([`InvalidReason::Target`]).
     pub fn apply(&mut self, block: Block) -> Result<ApplyOutcome, ForkError> {
-        let (digest, cost_ratio) = self.digest_and_cost_of_header(&block.header);
+        let observation = self.observe(&block.header);
+        self.apply_observed(block, observation)
+    }
+
+    /// [`ForkTree::apply`] with the block's proof of work already
+    /// evaluated: every check `apply` runs, with the digest and cost ratio
+    /// taken from `observation` instead of a fresh widget run. Segment
+    /// sync feeds it the verifier's observations and the miner its own,
+    /// so a node evaluates each header once.
+    ///
+    /// # Errors
+    ///
+    /// As [`ForkTree::apply`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `observation` was made for a header other than
+    /// `block.header`.
+    pub fn apply_observed(
+        &mut self,
+        block: Block,
+        observation: PowObservation,
+    ) -> Result<ApplyOutcome, ForkError> {
+        assert!(
+            *observation.header() == block.header,
+            "PoW observation was made for a different header"
+        );
+        let (digest, cost_ratio) = (observation.digest(), observation.cost_ratio());
         if self.entries.contains_key(&digest) {
             return Ok(ApplyOutcome::AlreadyKnown { digest });
         }

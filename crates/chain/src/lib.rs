@@ -61,7 +61,7 @@ pub use block::{Block, BlockHeader};
 pub use chain::{
     validate_blocks, validate_blocks_parallel, validate_segment, validate_segment_parallel,
     validate_segment_parallel_with_rule, validate_segment_with_rule, Blockchain, ChainConfig,
-    ChainError, InvalidReason, RuleContext,
+    ChainError, InvalidReason, PowObservation, RuleContext,
 };
 pub use difficulty::{
     cost_commitment_of, cost_dequantize, cost_quantize, pack_cost_commitment, CostAwareRetarget,

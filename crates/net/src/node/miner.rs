@@ -134,7 +134,7 @@ where
             return Vec::new();
         }
         let mut remaining = attempts;
-        let (block, cost_ratio) = loop {
+        let (block, observation) = loop {
             if remaining == 0 {
                 return Vec::new();
             }
@@ -163,9 +163,14 @@ where
                 ..self.miner.header.clone()
             };
             // Re-derive the winning seed through the cost-observing path:
-            // its widget cost decides admission and seed selection.
-            let (digest, cost_ratio) = self.tree.digest_and_cost_of_header(&header);
-            if !self.rule().admits(target, &digest, cost_ratio) {
+            // its widget cost decides admission and seed selection, and the
+            // tree stores the block with this same observation.
+            let observation = self.tree.observe(&header);
+            let cost_ratio = observation.cost_ratio();
+            if !self
+                .rule()
+                .admits(target, &observation.digest(), cost_ratio)
+            {
                 // The cost-aware admission bound taxes expensive seeds; an
                 // honest miner simply keeps scanning.
                 self.stats.seeds_inadmissible += 1;
@@ -182,12 +187,13 @@ where
                     header,
                     transactions: self.miner.transactions.clone(),
                 },
-                cost_ratio,
+                observation,
             );
         };
+        let cost_ratio = observation.cost_ratio();
         let outcome = self
             .tree
-            .apply(block.clone())
+            .apply_observed(block.clone(), observation)
             .expect("a locally mined block extends a stored tip");
         self.stats.blocks_mined += 1;
         self.stats.verify_cost_ratio_sum += cost_ratio;

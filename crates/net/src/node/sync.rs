@@ -267,7 +267,7 @@ where
         // anchored at the tree's stored observation, so a segment lying
         // about its verification bill is rejected here (and the per-block
         // admission bound is enforced). Rules without a cost component
-        // skip the walk entirely — the verifier runs exactly as before.
+        // skip the walk; the verifier still returns its observations.
         let ctx = self.rule().cost_aware().is_some().then(|| RuleContext {
             rule: self.rule(),
             anchor: (anchor != GENESIS_HASH).then(|| {
@@ -289,21 +289,23 @@ where
             ctx,
         );
         self.stats.sync_wall_seconds += started.elapsed().as_secs_f64();
-        if verdict.is_err() {
+        let Ok(observations) = verdict else {
             self.stats.rejections.invalid_segment += 1;
             self.penalize(from);
             return Vec::new();
-        }
+        };
         self.stats.segments_synced += 1;
         self.stats.segment_blocks += blocks.len() as u64;
 
         let mut deepest: Option<Reorg> = None;
         let mut tip_changed = false;
         let mut out = Vec::new();
-        for block in &blocks {
+        // The verifier already evaluated every header: the tree stores each
+        // block with the verifier's observation instead of hashing it again.
+        for (block, observation) in blocks.iter().zip(observations) {
             // The segment validated as a whole, so individual apply errors
             // can only be duplicates raced in by gossip — skip them.
-            let Ok(outcome) = self.tree.apply(block.clone()) else {
+            let Ok(outcome) = self.tree.apply_observed(block.clone(), observation) else {
                 continue;
             };
             if outcome.newly_stored() {
