@@ -1,7 +1,7 @@
 //! The chain: block acceptance, validation, and difficulty retargeting.
 
 use crate::block::{Block, BlockHeader};
-use crate::difficulty::{cost_commitment_of, DifficultyRule, EmaRetarget};
+use crate::difficulty::{BranchState, DifficultyRule, EmaRetarget};
 use hashcore::{MiningInput, Target};
 use hashcore_baselines::{PowFunction, PreparedPow};
 use hashcore_crypto::Digest256;
@@ -371,61 +371,18 @@ pub fn validate_segment<P: PowFunction>(
 /// the segment extends.
 ///
 /// The stateless validators trust embedded targets; with a context they
-/// additionally run every rule check a rule-enforcing
-/// [`ForkTree::apply`](crate::ForkTree::apply) would — expected target,
-/// cost-commitment recurrence, and the per-block cost admission bound — so
-/// a segment that validates cleanly is guaranteed to apply cleanly too
-/// (apply failures can then only be duplicates).
+/// additionally run [`DifficultyRule::check_child`] on every block — the
+/// same step a rule-enforcing [`ForkTree::apply`](crate::ForkTree::apply)
+/// runs — so a segment that validates cleanly is guaranteed to apply
+/// cleanly too (apply failures can then only be duplicates).
 #[derive(Debug, Clone, Copy)]
 pub struct RuleContext<'a> {
     /// The rule to enforce along the segment.
     pub rule: &'a DifficultyRule,
-    /// `(target, timestamp, cost_commitment, cost_ratio)` of the anchor
-    /// block the segment extends; `None` when the segment starts at
-    /// genesis. The commitment and ratio are ignored by rules without a
-    /// cost component (pass `0`/`1.0`).
-    pub anchor: Option<(Target, u64, u16, f64)>,
-}
-
-/// The branch state threaded block-to-block by the rule walk: `(expected
-/// target, timestamp, cost commitment, observed cost ratio)` of the block
-/// just validated.
-type RuleState = Option<(Target, u64, u16, f64)>;
-
-/// One step of the rule walk over a validated block: checks the version
-/// commitment, the expected target, and the cost admission bound, then
-/// advances the branch state. `digest`/`cost_ratio` come from the PoW
-/// evaluation the caller already performed.
-fn rule_check(
-    ctx: &RuleContext<'_>,
-    state: &mut RuleState,
-    header: &BlockHeader,
-    digest: &Digest256,
-    cost_ratio: f64,
-) -> Option<InvalidReason> {
-    let parent_cost = state.map(|(_, _, q, r)| (q, r));
-    if let Some(version) = ctx.rule.expected_version(parent_cost) {
-        if header.version != version {
-            return Some(InvalidReason::Target);
-        }
-    }
-    let prev = state.map(|(target, timestamp, _, _)| (target, timestamp));
-    let expected = ctx
-        .rule
-        .committed_child_target(prev, header.timestamp, header.version);
-    if header.target != *expected.threshold() {
-        return Some(InvalidReason::Target);
-    }
-    if !ctx.rule.admits(expected, digest, cost_ratio) {
-        return Some(InvalidReason::Pow);
-    }
-    *state = Some((
-        expected,
-        header.timestamp,
-        cost_commitment_of(header.version),
-        cost_ratio,
-    ));
-    None
+    /// The branch state of the anchor block the segment extends
+    /// ([`HeaderIndex::branch_state`](crate::HeaderIndex::branch_state));
+    /// `None` when the segment starts at genesis.
+    pub anchor: Option<BranchState>,
 }
 
 /// One PoW evaluation of a block header: the digest that identifies the
@@ -504,7 +461,7 @@ pub fn validate_segment_with_rule<P: PreparedPow>(
 ) -> Result<Vec<PowObservation>, ChainError> {
     let mut scratch = P::Scratch::default();
     let mut header_bytes = Vec::new();
-    let mut state: RuleState = ctx.and_then(|ctx| ctx.anchor);
+    let mut state = ctx.and_then(|ctx| ctx.anchor);
     let mut observed = Vec::with_capacity(blocks.len());
     for (height, block) in blocks.iter().enumerate() {
         let invalid = |reason| ChainError::InvalidBlock { height, reason };
@@ -521,9 +478,10 @@ pub fn validate_segment_with_rule<P: PreparedPow>(
         }
         if let Some(ctx) = &ctx {
             let (digest, ratio) = (&observation.digest, observation.cost_ratio);
-            if let Some(reason) = rule_check(ctx, &mut state, &block.header, digest, ratio) {
-                return Err(invalid(reason));
-            }
+            let checked = ctx
+                .rule
+                .check_child(state.as_ref(), &block.header, digest, ratio);
+            state = Some(checked.map_err(invalid)?);
         }
         prev_hash = observation.digest;
         observed.push(observation);
@@ -733,7 +691,7 @@ pub fn validate_segment_parallel_with_rule<P: PreparedPow + Sync>(
     // lower-height rule failure; at equal heights the basic failure wins,
     // matching the per-block check order of the sequential path.
     if let Some(ctx) = ctx {
-        let mut state: RuleState = ctx.anchor;
+        let mut state = ctx.anchor;
         'walk: for outcome in &outcomes {
             for (i, observation) in outcome.observed.iter().enumerate() {
                 let height = outcome.lo + i;
@@ -741,11 +699,15 @@ pub fn validate_segment_parallel_with_rule<P: PreparedPow + Sync>(
                     break 'walk;
                 }
                 let (digest, ratio) = (&observation.digest, observation.cost_ratio);
-                if let Some(reason) =
-                    rule_check(&ctx, &mut state, &blocks[height].header, digest, ratio)
+                match ctx
+                    .rule
+                    .check_child(state.as_ref(), &blocks[height].header, digest, ratio)
                 {
-                    first = Some((height, reason));
-                    break 'walk;
+                    Ok(next) => state = Some(next),
+                    Err(reason) => {
+                        first = Some((height, reason));
+                        break 'walk;
+                    }
                 }
             }
         }

@@ -19,8 +19,10 @@
 //!   timestamp-manipulation attacks expressible, and what the
 //!   median-time-past/future-drift validity rule in `hashcore-net` bounds.
 
-use crate::block::Block;
+use crate::block::{Block, BlockHeader};
+use crate::chain::InvalidReason;
 use hashcore::Target;
+use hashcore_crypto::Digest256;
 
 /// Parameters of the smoothed (EMA) retarget step: scale the target toward
 /// the value that would have made the last block take `target_block_time`.
@@ -223,6 +225,39 @@ impl CostAwareRetarget {
     }
 }
 
+/// The difficulty state a stored block leaves for its children: everything
+/// [`DifficultyRule::check_child`] needs to know about a parent. Fork trees
+/// and header chains derive it from the stored header
+/// ([`HeaderIndex::branch_state`](crate::HeaderIndex::branch_state)); the
+/// segment verifiers start from that anchor state and advance it block by
+/// block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BranchState {
+    /// The block's embedded (and, on a rule-enforcing branch, enforced)
+    /// target.
+    pub target: Target,
+    /// The block's reported timestamp.
+    pub timestamp: u64,
+    /// The Q8.8 cost commitment its version word carries (0 for the plain
+    /// version-1 headers of rules without commitments).
+    pub commitment: u16,
+    /// The block's own observed verifier-cost ratio.
+    pub cost_ratio: f64,
+}
+
+impl BranchState {
+    /// The state a block with `header`, observed at `cost_ratio`, leaves
+    /// for its children.
+    pub fn of(header: &BlockHeader, cost_ratio: f64) -> Self {
+        Self {
+            target: Target::from_threshold(header.target),
+            timestamp: header.timestamp,
+            commitment: cost_commitment_of(header.version),
+            cost_ratio,
+        }
+    }
+}
+
 /// A difficulty policy evaluable along any branch from headers alone.
 ///
 /// [`Fixed`](DifficultyRule::Fixed) is the classic fixed-difficulty
@@ -263,18 +298,63 @@ impl DifficultyRule {
         }
     }
 
-    /// The version word a block extending a parent with commitment
-    /// `parent_q` and observed cost ratio `parent_ratio` must carry —
-    /// `None` for rules without a cost commitment, whose blocks carry the
-    /// plain version 1. `None` for `parent_q`/`parent_ratio` means the
-    /// parent is genesis.
-    pub fn expected_version(&self, parent: Option<(u16, f64)>) -> Option<u32> {
+    /// The version word a child of `parent` (`None`: a genesis child) must
+    /// carry — `None` for rules without a cost commitment, whose blocks
+    /// carry the plain version 1. Under
+    /// [`CostAware`](DifficultyRule::CostAware) it packs the commitment the
+    /// recurrence produces from the parent's commitment and observed cost.
+    pub fn expected_child_version(&self, parent: Option<&BranchState>) -> Option<u32> {
         let cost = self.cost_aware()?;
-        let q = match parent {
-            None => COST_COMMIT_ONE,
-            Some((parent_q, parent_ratio)) => cost.child_commitment(parent_q, parent_ratio),
-        };
+        let q = parent.map_or(COST_COMMIT_ONE, |p| {
+            cost.child_commitment(p.commitment, p.cost_ratio)
+        });
         Some(pack_cost_commitment(q))
+    }
+
+    /// The target a child of `parent` reporting `child_timestamp` must
+    /// embed (`parent` is `None` for a genesis child): the
+    /// [`committed_child_target`](DifficultyRule::committed_child_target)
+    /// of the version [`expected_child_version`](DifficultyRule::expected_child_version)
+    /// demands.
+    pub fn expected_child_target(
+        &self,
+        parent: Option<&BranchState>,
+        child_timestamp: u64,
+    ) -> Target {
+        let version = self.expected_child_version(parent).unwrap_or(1);
+        let prev = parent.map(|p| (p.target, p.timestamp));
+        self.committed_child_target(prev, child_timestamp, version)
+    }
+
+    /// The per-child rule step every validator runs once a header's parent
+    /// is resolved and its digest met the embedded target: the version
+    /// commitment and the expected target (both
+    /// [`InvalidReason::Target`]), then the cost admission bound
+    /// ([`InvalidReason::Pow`]). `digest` and `cost_ratio` come from the
+    /// caller's one PoW evaluation of `header`. On success returns the
+    /// state `header` leaves for its own children.
+    ///
+    /// # Errors
+    ///
+    /// The reason of the first check that fails.
+    pub fn check_child(
+        &self,
+        parent: Option<&BranchState>,
+        header: &BlockHeader,
+        digest: &Digest256,
+        cost_ratio: f64,
+    ) -> Result<BranchState, InvalidReason> {
+        let version_ok = self
+            .expected_child_version(parent)
+            .is_none_or(|version| header.version == version);
+        let expected = self.expected_child_target(parent, header.timestamp);
+        if !version_ok || header.target != *expected.threshold() {
+            return Err(InvalidReason::Target);
+        }
+        if !self.admits(expected, digest, cost_ratio) {
+            return Err(InvalidReason::Pow);
+        }
+        Ok(BranchState::of(header, cost_ratio))
     }
 
     /// `true` when a block whose digest met its expected target also
@@ -367,6 +447,10 @@ impl DifficultyRule {
             DifficultyRule::CostAware(cost) => {
                 let q = cost_commitment_of(child_version);
                 match prev {
+                    // The nominal commitment's cost factor is exactly 1, and
+                    // scaling by 1.0 would round a threshold that is not a
+                    // power of two through `f64`.
+                    None if q == COST_COMMIT_ONE => self.genesis_target(),
                     None => cost
                         .time
                         .initial
@@ -625,6 +709,27 @@ mod tests {
     }
 
     #[test]
+    fn a_nominal_genesis_child_embeds_exactly_the_genesis_target() {
+        // 2^252 - 1 is not a power of two: scaling it by 1.0 through `f64`
+        // rounds it to 2^252, so the genesis expectation must not scale.
+        let mut uneven = [0xFF; 32];
+        uneven[0] = 0x0F;
+        let initial = Target::from_threshold(uneven);
+        assert_ne!(initial.scale(1.0), initial);
+        let rule = DifficultyRule::CostAware(CostAwareRetarget::new(
+            EmaRetarget { initial, ..ema() },
+            0.5,
+            2.0,
+        ));
+        let nominal = pack_cost_commitment(COST_COMMIT_ONE);
+        assert_eq!(rule.committed_child_target(None, 7, nominal), initial);
+        assert_eq!(rule.expected_child_target(None, 7), rule.genesis_target());
+        let mut genesis_child = block_with(7, initial);
+        genesis_child.header.version = nominal;
+        assert!(rule.segment_targets_valid(None, &[genesis_child]));
+    }
+
+    #[test]
     fn admission_taxes_expensive_blocks_only() {
         let cost = cost_aware();
         let expected = Target::from_leading_zero_bits(12);
@@ -662,10 +767,19 @@ mod tests {
     #[test]
     fn expected_version_threads_the_commitment_chain() {
         let rule = DifficultyRule::CostAware(cost_aware());
-        assert_eq!(DifficultyRule::Ema(ema()).expected_version(None), None);
-        let genesis_child = rule.expected_version(None).unwrap();
+        assert_eq!(
+            DifficultyRule::Ema(ema()).expected_child_version(None),
+            None
+        );
+        let genesis_child = rule.expected_child_version(None).unwrap();
         assert_eq!(cost_commitment_of(genesis_child), COST_COMMIT_ONE);
-        let next = rule.expected_version(Some((COST_COMMIT_ONE, 3.0))).unwrap();
+        let parent = BranchState {
+            target: Target::MAX,
+            timestamp: 0,
+            commitment: COST_COMMIT_ONE,
+            cost_ratio: 3.0,
+        };
+        let next = rule.expected_child_version(Some(&parent)).unwrap();
         assert_eq!(cost_commitment_of(next), 2 * COST_COMMIT_ONE);
     }
 

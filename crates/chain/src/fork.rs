@@ -1,29 +1,19 @@
-//! Fork choice: a block store keyed by header PoW digest with
-//! cumulative-work tip selection.
-//!
-//! [`Blockchain`](crate::Blockchain) models a single miner's linear history;
-//! competing chains never meet there. This module is the substrate the
-//! network simulation races on: every node holds a [`ForkTree`], blocks from
-//! any branch are [`ForkTree::apply`]'d as they arrive, and the tree keeps
-//! the tip with the most cumulative expected work — switching branches
-//! returns the detached and attached segments so callers can observe (and
-//! replay) reorgs.
-//!
-//! Fork choice is a strict total order on `(cumulative work, digest)`, so
-//! the selected tip depends only on the *set* of blocks stored, never on
-//! their arrival order — the property the convergence proptests pin down.
+//! Fork choice over full blocks: the substrate the network simulation
+//! races on. Every node holds a [`ForkTree`], blocks from any branch are
+//! [`ForkTree::apply`]'d as they arrive, and a tip switch returns the
+//! detached and attached segments so callers can observe (and replay)
+//! reorgs. [`Blockchain`](crate::Blockchain) models a single miner's
+//! linear history instead, where competing chains never meet.
 
 use crate::block::Block;
 use crate::chain::{validate_segment, ChainError, InvalidReason, PowObservation};
-use crate::difficulty::{cost_commitment_of, DifficultyRule};
+use crate::difficulty::DifficultyRule;
+use crate::index::{HeaderIndex, Inserted, GENESIS_HASH};
 use hashcore::Target;
 use hashcore_baselines::PreparedPow;
 use hashcore_crypto::{Digest256, Sha256};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
-
-/// The digest a chain's first block links to: the all-zero "genesis" parent.
-pub const GENESIS_HASH: Digest256 = [0u8; 32];
+use std::ops::Deref;
 
 /// Errors returned by [`ForkTree::apply`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,47 +50,6 @@ impl fmt::Display for ForkError {
 }
 
 impl std::error::Error for ForkError {}
-
-/// Errors returned by [`ForkTree::segment_to`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SegmentError {
-    /// The wanted block is not stored in this tree.
-    UnknownBlock {
-        /// The digest that was requested.
-        want: Digest256,
-    },
-    /// Every digest the requester knows lies below this tree's pruned
-    /// retention window: the connecting segment no longer exists here. The
-    /// requester must sync from a peer with deeper history (or from the
-    /// retention root itself).
-    Pruned {
-        /// The oldest block this tree still stores (its retention root).
-        root: Digest256,
-    },
-}
-
-impl fmt::Display for SegmentError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SegmentError::UnknownBlock { want } => {
-                write!(
-                    f,
-                    "segment target {} is not stored",
-                    hashcore_crypto::hex::encode(want)
-                )
-            }
-            SegmentError::Pruned { root } => {
-                write!(
-                    f,
-                    "segment history below retention root {} has been pruned",
-                    hashcore_crypto::hex::encode(root)
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for SegmentError {}
 
 /// The segments a tip change detached and attached, both ordered by
 /// ascending height. A plain extension has an empty `detached` and a
@@ -163,22 +112,6 @@ impl ApplyOutcome {
     pub fn newly_stored(&self) -> bool {
         !matches!(self, ApplyOutcome::AlreadyKnown { .. })
     }
-}
-
-/// One stored block plus its position in the tree.
-#[derive(Debug, Clone)]
-struct Entry {
-    block: Block,
-    height: u64,
-    /// Cumulative expected hash attempts from genesis through this block.
-    work: f64,
-    /// The block's own observed verifier-cost ratio (1.0 for PoW functions
-    /// reporting nominal cost). A pure function of the header bytes —
-    /// cached from the observation the block was applied with, so
-    /// commitment checks and reports never re-execute widgets — and
-    /// deliberately *not* part of [`ForkTree::fingerprint`], which it is
-    /// derivable from.
-    cost_ratio: f64,
 }
 
 /// A complete, self-contained description of a [`ForkTree`]'s logical state
@@ -277,33 +210,20 @@ fn hash_rule(hasher: &mut Sha256, rule: Option<&DifficultyRule>) {
     }
 }
 
-/// A block store keyed by header PoW digest, with cumulative-work fork
-/// choice.
+/// A block store keyed by header PoW digest: a [`HeaderIndex`] of full
+/// blocks, which it dereferences to for every read-only query, plus the PoW
+/// function that identifies them.
 ///
-/// The tree validates each applied block statelessly (Merkle commitment and
-/// the block's own embedded PoW target) and contextually (the parent must be
-/// stored). A tree built with [`ForkTree::with_rule`] additionally enforces
-/// a [`DifficultyRule`] *along every branch*: each block's embedded target
-/// must equal the target the rule expects at that position, computed from
-/// the parent's (already-enforced) target and the two headers' timestamps.
-/// A plain [`ForkTree::new`] tree trusts embedded targets, as it always
-/// has — difficulty policy stays the caller's concern there. Either way,
-/// branches are scored by the expected attempts their embedded targets
-/// imply.
-///
-/// Hashing runs through one owned [`PreparedPow::Scratch`] and one header
-/// buffer, so applying a stream of blocks does not allocate per block.
+/// The tree evaluates each block's proof of work once and hands the
+/// observation to the index, which runs the Merkle, PoW-target and parent
+/// checks and — on a tree built with [`ForkTree::with_rule`] — enforces the
+/// [`DifficultyRule`] along every branch. A plain [`ForkTree::new`] tree
+/// trusts embedded targets. Hashing runs through one owned
+/// [`PreparedPow::Scratch`] and one header buffer, so applying a stream of
+/// blocks does not allocate per block.
 pub struct ForkTree<P: PreparedPow> {
     pow: P,
-    entries: HashMap<Digest256, Entry>,
-    tip: Digest256,
-    /// The oldest block every stored branch descends from. [`GENESIS_HASH`]
-    /// until the first [`ForkTree::prune`]; afterwards the best-chain block
-    /// at the pruning cutoff. Backward walks stop here instead of genesis.
-    root: Digest256,
-    /// Difficulty policy enforced per branch; `None` trusts embedded
-    /// targets (the historical behaviour).
-    rule: Option<DifficultyRule>,
+    index: HeaderIndex<Block>,
     scratch: P::Scratch,
     header_bytes: Vec<u8>,
 }
@@ -312,9 +232,17 @@ impl<P: PreparedPow + fmt::Debug> fmt::Debug for ForkTree<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ForkTree")
             .field("pow", &self.pow)
-            .field("blocks", &self.entries.len())
-            .field("tip", &hashcore_crypto::hex::encode(&self.tip))
+            .field("blocks", &self.len())
+            .field("tip", &hashcore_crypto::hex::encode(&self.tip()))
             .finish()
+    }
+}
+
+impl<P: PreparedPow> Deref for ForkTree<P> {
+    type Target = HeaderIndex<Block>;
+
+    fn deref(&self) -> &HeaderIndex<Block> {
+        &self.index
     }
 }
 
@@ -325,10 +253,7 @@ impl<P: PreparedPow> ForkTree<P> {
     pub fn new(pow: P) -> Self {
         Self {
             pow,
-            entries: HashMap::new(),
-            tip: GENESIS_HASH,
-            root: GENESIS_HASH,
-            rule: None,
+            index: HeaderIndex::default(),
             scratch: P::Scratch::default(),
             header_bytes: Vec::new(),
         }
@@ -340,7 +265,7 @@ impl<P: PreparedPow> ForkTree<P> {
     /// branch position.
     pub fn with_rule(pow: P, rule: DifficultyRule) -> Self {
         let mut tree = Self::new(pow);
-        tree.rule = Some(rule);
+        tree.index.reset(Some(rule));
         tree
     }
 
@@ -353,26 +278,10 @@ impl<P: PreparedPow> ForkTree<P> {
     /// would leave unchecked branches behind.
     pub fn set_rule(&mut self, rule: DifficultyRule) {
         assert!(
-            self.entries.is_empty(),
+            self.is_empty(),
             "the difficulty rule must be installed before any block is stored"
         );
-        self.rule = Some(rule);
-    }
-
-    /// The difficulty rule enforced along every branch, if one was set.
-    pub fn rule(&self) -> Option<&DifficultyRule> {
-        self.rule.as_ref()
-    }
-
-    /// The oldest stored block every branch descends from: [`GENESIS_HASH`]
-    /// until the tree has been pruned, then the retention root.
-    pub fn root(&self) -> Digest256 {
-        self.root
-    }
-
-    /// Height of the retention root (0 until the tree has been pruned).
-    pub fn root_height(&self) -> u64 {
-        self.height_of(&self.root)
+        self.index.reset(Some(rule));
     }
 
     /// The PoW function blocks are validated against.
@@ -380,79 +289,14 @@ impl<P: PreparedPow> ForkTree<P> {
         &self.pow
     }
 
-    /// Number of blocks stored, across every branch.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no block has been stored yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Digest of the best tip ([`GENESIS_HASH`] for the empty tree).
-    pub fn tip(&self) -> Digest256 {
-        self.tip
-    }
-
-    /// Height of the best tip (number of blocks on the best chain).
-    pub fn tip_height(&self) -> u64 {
-        self.height_of(&self.tip)
-    }
-
-    /// Cumulative expected work of the best chain.
-    pub fn tip_work(&self) -> f64 {
-        self.entries.get(&self.tip).map_or(0.0, |e| e.work)
-    }
-
     /// The best tip's block, if any block has been stored.
     pub fn tip_block(&self) -> Option<&Block> {
-        self.entries.get(&self.tip).map(|e| &e.block)
-    }
-
-    /// `true` when a block with this digest is stored.
-    pub fn contains(&self, digest: &Digest256) -> bool {
-        self.entries.contains_key(digest)
+        self.get(&self.tip())
     }
 
     /// The stored block with this digest, if any.
     pub fn block(&self, digest: &Digest256) -> Option<&Block> {
-        self.entries.get(digest).map(|e| &e.block)
-    }
-
-    /// Height of a stored block (0 for [`GENESIS_HASH`], which "stores" the
-    /// empty chain).
-    pub fn height_of(&self, digest: &Digest256) -> u64 {
-        self.entries.get(digest).map_or(0, |e| e.height)
-    }
-
-    /// Cumulative expected work through a stored block (0.0 when the digest
-    /// is not stored).
-    pub fn work_of(&self, digest: &Digest256) -> f64 {
-        self.entries.get(digest).map_or(0.0, |e| e.work)
-    }
-
-    /// Height of the highest stored block *not* on the best chain — how
-    /// close the best runner-up branch gets to the tip. 0 when every stored
-    /// block is on the best chain. The adversary harness reports
-    /// `tip_height - max_side_branch_height` as the honest tip's safety
-    /// margin.
-    pub fn max_side_branch_height(&self) -> u64 {
-        let mut on_best: HashSet<Digest256> = HashSet::new();
-        let mut cursor = self.tip;
-        while cursor != GENESIS_HASH {
-            on_best.insert(cursor);
-            if cursor == self.root {
-                break;
-            }
-            cursor = self.parent_of(&cursor);
-        }
-        self.entries
-            .iter()
-            .filter(|(digest, _)| !on_best.contains(*digest))
-            .map(|(_, entry)| entry.height)
-            .max()
-            .unwrap_or(0)
+        self.get(digest)
     }
 
     /// Evaluates the PoW digest that identifies `block`, through the tree's
@@ -461,9 +305,7 @@ impl<P: PreparedPow> ForkTree<P> {
         self.digest_of_header(&block.header)
     }
 
-    /// Evaluates the PoW digest of a bare header through the tree's scratch
-    /// — what a light client needs to feed a
-    /// [`HeaderChain`](crate::HeaderChain) without materialising a block.
+    /// Evaluates the PoW digest of a bare header through the tree's scratch.
     pub fn digest_of_header(&mut self, header: &crate::block::BlockHeader) -> Digest256 {
         header.write_bytes(&mut self.header_bytes);
         self.pow
@@ -471,28 +313,14 @@ impl<P: PreparedPow> ForkTree<P> {
     }
 
     /// Evaluates a header's PoW once through the tree's scratch, keeping
-    /// both the digest and the observed verifier-cost ratio — what
-    /// [`ForkTree::apply_observed`] stores a block with.
+    /// both the digest and the observed verifier-cost ratio (cost units
+    /// over the PoW function's nominal budget) — what
+    /// [`ForkTree::apply_observed`] stores a block with, and what a light
+    /// client feeds a [`HeaderChain`](crate::HeaderChain). The ratio is a
+    /// pure function of the header bytes, so every validator derives the
+    /// same value.
     pub fn observe(&mut self, header: &crate::block::BlockHeader) -> PowObservation {
         PowObservation::evaluate(&self.pow, header, &mut self.header_bytes, &mut self.scratch)
-    }
-
-    /// Evaluates the PoW digest of a bare header together with its observed
-    /// verifier-cost ratio (cost units over the PoW function's nominal
-    /// budget) — one hash, both observations. The ratio is a pure function
-    /// of the header bytes, so every validator derives the same value.
-    pub fn digest_and_cost_of_header(
-        &mut self,
-        header: &crate::block::BlockHeader,
-    ) -> (Digest256, f64) {
-        let observation = self.observe(header);
-        (observation.digest(), observation.cost_ratio())
-    }
-
-    /// The observed verifier-cost ratio of a stored block (1.0 when the
-    /// digest is not stored).
-    pub fn cost_ratio_of(&self, digest: &Digest256) -> f64 {
-        self.entries.get(digest).map_or(1.0, |e| e.cost_ratio)
     }
 
     /// Validates and stores a block, advancing the tip if the block's branch
@@ -539,324 +367,26 @@ impl<P: PreparedPow> ForkTree<P> {
             *observation.header() == block.header,
             "PoW observation was made for a different header"
         );
-        let (digest, cost_ratio) = (observation.digest(), observation.cost_ratio());
-        if self.entries.contains_key(&digest) {
-            return Ok(ApplyOutcome::AlreadyKnown { digest });
-        }
-        if !block.merkle_consistent() {
-            return Err(ForkError::InvalidBlock {
-                reason: InvalidReason::Merkle,
-            });
-        }
-        // The branch-independent half of the difficulty policy: a fixed
-        // rule's expectation needs no parent, so a wrong-target block is
-        // rejected before the orphan path could trigger a segment sync.
-        if let Some(flat) = self.rule.as_ref().and_then(DifficultyRule::flat_target) {
-            if block.header.target != *flat.threshold() {
-                return Err(ForkError::InvalidBlock {
-                    reason: InvalidReason::Target,
-                });
-            }
-        }
-        let target = Target::from_threshold(block.header.target);
-        if !target.is_met_by(&digest) {
-            return Err(ForkError::InvalidBlock {
-                reason: InvalidReason::Pow,
-            });
-        }
-        let prev = block.header.prev_hash;
-        let (parent_height, parent_work) = if prev == GENESIS_HASH {
-            (0, 0.0)
-        } else {
-            match self.entries.get(&prev) {
-                Some(parent) => (parent.height, parent.work),
-                None => {
-                    return Err(ForkError::UnknownParent {
-                        digest,
-                        prev_hash: prev,
-                    })
+        let digest = observation.digest();
+        Ok(
+            match self.index.insert(block, digest, observation.cost_ratio())? {
+                Inserted::AlreadyKnown => ApplyOutcome::AlreadyKnown { digest },
+                Inserted::SideChain => ApplyOutcome::SideChain { digest },
+                Inserted::TipChanged { detached, attached } => {
+                    let blocks = |digests: Vec<Digest256>| -> Vec<Block> {
+                        digests
+                            .iter()
+                            .map(|d| self.index.get(d).expect("stored").clone())
+                            .collect()
+                    };
+                    let reorg = Reorg {
+                        detached: blocks(detached),
+                        attached: blocks(attached),
+                    };
+                    ApplyOutcome::TipChanged { digest, reorg }
                 }
-            }
-        };
-        // The branch-aware half: with the parent resolved, the rule's
-        // expected target at this exact branch position is computable from
-        // headers alone and must match the embedded one.
-        if let Some(rule) = self.rule {
-            // A cost-aware rule first pins the version word: it must carry
-            // exactly the commitment the recurrence produces from the
-            // parent's committed EMA and the parent's own observed cost.
-            if let Some(version) = self.expected_child_version(&prev) {
-                if block.header.version != version {
-                    return Err(ForkError::InvalidBlock {
-                        reason: InvalidReason::Target,
-                    });
-                }
-            }
-            let expected = self
-                .expected_child_target(&prev, block.header.timestamp)
-                .expect("rule is set and the parent is stored");
-            if block.header.target != *expected.threshold() {
-                return Err(ForkError::InvalidBlock {
-                    reason: InvalidReason::Target,
-                });
-            }
-            // The per-block admission bound: an expensive-to-verify block
-            // must clear a proportionally harder digest bound than its
-            // embedded target — the tax on cost-steering miners.
-            if !rule.admits(expected, &digest, cost_ratio) {
-                return Err(ForkError::InvalidBlock {
-                    reason: InvalidReason::Pow,
-                });
-            }
-        }
-
-        let work = parent_work + target.expected_attempts();
-        self.entries.insert(
-            digest,
-            Entry {
-                block,
-                height: parent_height + 1,
-                work,
-                cost_ratio,
             },
-        );
-
-        if self.prefers(&digest, work) {
-            let reorg = self.reorg_segments(self.tip, digest);
-            self.tip = digest;
-            Ok(ApplyOutcome::TipChanged { digest, reorg })
-        } else {
-            Ok(ApplyOutcome::SideChain { digest })
-        }
-    }
-
-    /// The target the tree's [`DifficultyRule`] expects of a child of
-    /// `parent` reporting `child_timestamp` — what a miner extending that
-    /// branch must embed (and meet). `None` when the tree enforces no rule
-    /// or `parent` is neither stored nor [`GENESIS_HASH`].
-    pub fn expected_child_target(
-        &self,
-        parent: &Digest256,
-        child_timestamp: u64,
-    ) -> Option<Target> {
-        let rule = self.rule.as_ref()?;
-        if *parent == GENESIS_HASH {
-            return Some(rule.genesis_target());
-        }
-        let entry = self.entries.get(parent)?;
-        let parent_target = Target::from_threshold(entry.block.header.target);
-        let parent_timestamp = entry.block.header.timestamp;
-        match rule.cost_aware() {
-            None => Some(rule.child_target(parent_target, parent_timestamp, child_timestamp)),
-            // The cost-aware expectation runs the commitment recurrence
-            // forward from the parent's embedded commitment and cached
-            // observed cost — the same value the version check pins.
-            Some(cost) => {
-                let q = cost.child_commitment(
-                    cost_commitment_of(entry.block.header.version),
-                    entry.cost_ratio,
-                );
-                Some(cost.child_target(parent_target, parent_timestamp, child_timestamp, q))
-            }
-        }
-    }
-
-    /// The version word the tree's rule expects of a child of `parent` —
-    /// `Some` only under a cost-aware rule, where the version carries the
-    /// branch's cost commitment; `None` means the plain version 1 (no rule,
-    /// or a rule without commitments, or `parent` neither stored nor
-    /// [`GENESIS_HASH`]).
-    pub fn expected_child_version(&self, parent: &Digest256) -> Option<u32> {
-        let rule = self.rule.as_ref()?;
-        if *parent == GENESIS_HASH {
-            return rule.expected_version(None);
-        }
-        let entry = self.entries.get(parent)?;
-        rule.expected_version(Some((
-            cost_commitment_of(entry.block.header.version),
-            entry.cost_ratio,
-        )))
-    }
-
-    /// Reported timestamps of up to `window` blocks ending at `digest` (the
-    /// block itself and its nearest stored ancestors), oldest first — the
-    /// window the median-time-past timestamp-validity rule is computed
-    /// over. Empty when `digest` stores no block; the walk stops at the
-    /// retention root.
-    pub fn ancestor_timestamps(&self, digest: &Digest256, window: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut cursor = *digest;
-        while out.len() < window {
-            let Some(entry) = self.entries.get(&cursor) else {
-                break;
-            };
-            out.push(entry.block.header.timestamp);
-            if cursor == self.root {
-                break;
-            }
-            cursor = entry.block.header.prev_hash;
-        }
-        out.reverse();
-        out
-    }
-
-    /// Median-time-past: the median of the up-to-`window` reported
-    /// timestamps ending at `digest` — the lower bound the
-    /// timestamp-validity rule holds child blocks strictly above, so a
-    /// miner cannot rewind reported time to re-harden (or re-ease) a branch
-    /// retroactively. `None` when `digest` stores no block (a genesis child
-    /// has no history to bound).
-    pub fn median_time_past(&self, digest: &Digest256, window: usize) -> Option<u64> {
-        let mut timestamps = self.ancestor_timestamps(digest, window);
-        if timestamps.is_empty() {
-            return None;
-        }
-        timestamps.sort_unstable();
-        Some(timestamps[(timestamps.len() - 1) / 2])
-    }
-
-    /// `true` when `(work, digest)` beats the current tip in the fork-choice
-    /// order.
-    fn prefers(&self, digest: &Digest256, work: f64) -> bool {
-        if self.tip == GENESIS_HASH {
-            return true;
-        }
-        let tip_work = self.tip_work();
-        work > tip_work || (work == tip_work && *digest < self.tip)
-    }
-
-    /// Parent digest of a stored block ([`GENESIS_HASH`] stays genesis).
-    fn parent_of(&self, digest: &Digest256) -> Digest256 {
-        self.entries
-            .get(digest)
-            .map_or(GENESIS_HASH, |e| e.block.header.prev_hash)
-    }
-
-    /// The detached/attached segments of a tip switch from `old` to `new`,
-    /// found by walking both branches back to their common ancestor.
-    fn reorg_segments(&self, old: Digest256, new: Digest256) -> Reorg {
-        let mut detached = Vec::new();
-        let mut attached = Vec::new();
-        let (mut a, mut b) = (old, new);
-        while self.height_of(&a) > self.height_of(&b) {
-            detached.push(a);
-            a = self.parent_of(&a);
-        }
-        while self.height_of(&b) > self.height_of(&a) {
-            attached.push(b);
-            b = self.parent_of(&b);
-        }
-        while a != b {
-            detached.push(a);
-            a = self.parent_of(&a);
-            attached.push(b);
-            b = self.parent_of(&b);
-        }
-        let to_blocks = |digests: Vec<Digest256>| {
-            let mut blocks: Vec<Block> = digests
-                .into_iter()
-                .rev()
-                .map(|d| self.entries[&d].block.clone())
-                .collect();
-            blocks.shrink_to_fit();
-            blocks
-        };
-        Reorg {
-            detached: to_blocks(detached),
-            attached: to_blocks(attached),
-        }
-    }
-
-    /// The best chain, oldest block first: from the genesis child, or — once
-    /// the tree has been pruned — from the retention root.
-    pub fn best_chain(&self) -> Vec<Block> {
-        let mut digests = Vec::new();
-        let mut cursor = self.tip;
-        while cursor != GENESIS_HASH {
-            digests.push(cursor);
-            if cursor == self.root {
-                break;
-            }
-            cursor = self.parent_of(&cursor);
-        }
-        digests
-            .into_iter()
-            .rev()
-            .map(|d| self.entries[&d].block.clone())
-            .collect()
-    }
-
-    /// A Bitcoin-style block locator for the best chain: the tip, then
-    /// ancestors at exponentially increasing depth, ending with
-    /// [`GENESIS_HASH`]. A peer serving a segment walks back from the wanted
-    /// block until it hits one of these digests, so catch-up sync ships
-    /// `O(missing)` blocks with an `O(log height)`-sized request.
-    pub fn locator(&self) -> Vec<Digest256> {
-        let mut out = Vec::new();
-        let mut cursor = self.tip;
-        let mut step = 1u64;
-        while cursor != GENESIS_HASH && cursor != self.root {
-            out.push(cursor);
-            if out.len() >= 4 {
-                step *= 2;
-            }
-            for _ in 0..step {
-                cursor = self.parent_of(&cursor);
-                if cursor == GENESIS_HASH || cursor == self.root {
-                    break;
-                }
-            }
-        }
-        // A pruned tree's history bottoms out at its retention root; the
-        // trailing genesis digest stays for compatibility (every peer
-        // conceptually "knows" the empty chain).
-        if cursor == self.root && self.root != GENESIS_HASH {
-            out.push(self.root);
-        }
-        out.push(GENESIS_HASH);
-        out
-    }
-
-    /// The contiguous segment ending at `want`, walking back until a digest
-    /// the requester already `known`s (or genesis), ascending height.
-    ///
-    /// Returns an empty segment when the requester already knows `want`.
-    ///
-    /// # Errors
-    ///
-    /// [`SegmentError::UnknownBlock`] when `want` is not stored;
-    /// [`SegmentError::Pruned`] when the connecting segment would have to
-    /// reach below this tree's retention root — everything the requester
-    /// knows lies under pruned history, so the range is no longer servable.
-    /// A requester that knows the root itself *or the root's parent digest*
-    /// is still served (the retained history anchors at that parent).
-    pub fn segment_to(
-        &self,
-        want: Digest256,
-        known: &[Digest256],
-    ) -> Result<Vec<Block>, SegmentError> {
-        if !self.entries.contains_key(&want) {
-            return Err(SegmentError::UnknownBlock { want });
-        }
-        let mut out = Vec::new();
-        let mut cursor = want;
-        while cursor != GENESIS_HASH && !known.contains(&cursor) {
-            let entry = &self.entries[&cursor];
-            out.push(entry.block.clone());
-            let parent = entry.block.header.prev_hash;
-            if cursor == self.root && self.root != GENESIS_HASH {
-                // The walk hit the retention root. The full retained chain
-                // is exactly servable iff the requester knows the root's
-                // parent; anything older is gone.
-                if known.contains(&parent) {
-                    break;
-                }
-                return Err(SegmentError::Pruned { root: self.root });
-            }
-            cursor = parent;
-        }
-        out.reverse();
-        Ok(out)
+        )
     }
 
     /// Drops every block more than `keep_depth` below the best tip, plus any
@@ -865,11 +395,12 @@ impl<P: PreparedPow> ForkTree<P> {
     /// growing without limit.
     ///
     /// The best-chain block exactly `keep_depth` below the tip becomes the
-    /// new retention [`ForkTree::root`]: it is kept, every retained block
+    /// new retention [`HeaderIndex::root`]: it is kept, every retained block
     /// descends from it, and backward walks (`best_chain`, `locator`,
     /// `segment_to`) stop there. Any peer whose locator shares at least one
     /// digest inside the window can still be served exactly as before;
-    /// peers further behind get a clean [`SegmentError::Pruned`]. A branch
+    /// peers further behind get a clean
+    /// [`SegmentError::Pruned`](crate::SegmentError::Pruned). A branch
     /// forking below the root can never be reattached — blocks extending it
     /// are reported as [`ForkError::UnknownParent`] and their segments no
     /// longer anchor — which is the usual finality assumption of a pruning
@@ -880,53 +411,7 @@ impl<P: PreparedPow> ForkTree<P> {
     /// below the existing retention root (history already gone) — is a
     /// no-op.
     pub fn prune(&mut self, keep_depth: u64) -> usize {
-        let tip_height = self.tip_height();
-        if tip_height <= keep_depth || self.tip == GENESIS_HASH {
-            return 0;
-        }
-        let cutoff = tip_height - keep_depth;
-        // A widened window cannot bring pruned history back: walking for a
-        // root below the current one would step through pruned parents and
-        // land on a phantom digest.
-        if cutoff <= self.root_height() && self.root != GENESIS_HASH {
-            return 0;
-        }
-        // The new root: the best-chain block at the cutoff height.
-        let mut root = self.tip;
-        while self.height_of(&root) > cutoff {
-            root = self.parent_of(&root);
-        }
-        // Keep exactly the blocks whose ancestry stays above the cutoff all
-        // the way to the new root; everything else (older history, branches
-        // forked below the cutoff) is evicted.
-        let mut keep: HashSet<Digest256> = HashSet::with_capacity(self.entries.len());
-        keep.insert(root);
-        let mut path = Vec::new();
-        for digest in self.entries.keys() {
-            let mut cursor = *digest;
-            path.clear();
-            let connected = loop {
-                if keep.contains(&cursor) {
-                    break true;
-                }
-                match self.entries.get(&cursor) {
-                    Some(entry) if entry.height > cutoff => {
-                        path.push(cursor);
-                        cursor = entry.block.header.prev_hash;
-                    }
-                    // Reached the cutoff (or a hole) on a digest that is not
-                    // the root: this branch forked below the window.
-                    _ => break false,
-                }
-            };
-            if connected {
-                keep.extend(path.iter().copied());
-            }
-        }
-        let before = self.entries.len();
-        self.entries.retain(|digest, _| keep.contains(digest));
-        self.root = root;
-        before - self.entries.len()
+        self.index.prune(keep_depth)
     }
 
     /// A canonical digest of the tree's complete logical state: the rule,
@@ -940,24 +425,23 @@ impl<P: PreparedPow> ForkTree<P> {
     pub fn fingerprint(&self) -> Digest256 {
         let mut hasher = Sha256::new();
         hasher.update(b"hashcore-forktree-fingerprint-v1");
-        hash_rule(&mut hasher, self.rule.as_ref());
-        hasher.update(&self.root);
+        hash_rule(&mut hasher, self.rule());
+        hasher.update(&self.root());
         hasher.update(&self.root_height().to_le_bytes());
-        hasher.update(&self.work_of(&self.root).to_bits().to_le_bytes());
-        hasher.update(&self.tip);
-        hasher.update(&(self.entries.len() as u64).to_le_bytes());
-        let mut digests: Vec<&Digest256> = self.entries.keys().collect();
-        digests.sort_unstable();
+        hasher.update(&self.work_of(&self.root()).to_bits().to_le_bytes());
+        hasher.update(&self.tip());
+        hasher.update(&(self.len() as u64).to_le_bytes());
+        let mut entries: Vec<_> = self.index.entries.iter().collect();
+        entries.sort_unstable_by_key(|(digest, _)| *digest);
         let mut header_bytes = Vec::new();
-        for digest in digests {
-            let entry = &self.entries[digest];
+        for (digest, entry) in entries {
             hasher.update(digest);
             hasher.update(&entry.height.to_le_bytes());
             hasher.update(&entry.work.to_bits().to_le_bytes());
-            entry.block.header.write_bytes(&mut header_bytes);
+            entry.item.header.write_bytes(&mut header_bytes);
             hasher.update(&header_bytes);
-            hasher.update(&(entry.block.transactions.len() as u64).to_le_bytes());
-            for tx in &entry.block.transactions {
+            hasher.update(&(entry.item.transactions.len() as u64).to_le_bytes());
+            for tx in &entry.item.transactions {
                 hasher.update(&(tx.len() as u64).to_le_bytes());
                 hasher.update(tx);
             }
@@ -970,20 +454,21 @@ impl<P: PreparedPow> ForkTree<P> {
     /// root/rule context a restore needs. The inverse of
     /// [`ForkTree::restore_from_snapshot`].
     pub fn snapshot(&self) -> TreeSnapshot {
-        let mut keyed: Vec<(u64, &Digest256)> = self
+        let mut keyed: Vec<(u64, &Digest256, &Block)> = self
+            .index
             .entries
             .iter()
-            .map(|(digest, entry)| (entry.height, digest))
+            .map(|(digest, entry)| (entry.height, digest, &entry.item))
             .collect();
-        keyed.sort_unstable();
+        keyed.sort_unstable_by_key(|(height, digest, _)| (*height, *digest));
         TreeSnapshot {
-            root: self.root,
+            root: self.root(),
             root_height: self.root_height(),
-            root_work: self.work_of(&self.root),
-            rule: self.rule,
+            root_work: self.work_of(&self.root()),
+            rule: self.rule().copied(),
             blocks: keyed
                 .into_iter()
-                .map(|(_, digest)| self.entries[digest].block.clone())
+                .map(|(_, _, block)| block.clone())
                 .collect(),
         }
     }
@@ -1004,10 +489,7 @@ impl<P: PreparedPow> ForkTree<P> {
     /// to re-apply; the tree is left empty (never half-restored) in that
     /// case.
     pub fn restore_from_snapshot(&mut self, snapshot: &TreeSnapshot) -> Result<(), RestoreError> {
-        self.entries.clear();
-        self.tip = GENESIS_HASH;
-        self.root = GENESIS_HASH;
-        self.rule = snapshot.rule;
+        self.index.reset(snapshot.rule);
         let mut blocks = snapshot.blocks.iter().enumerate();
         if snapshot.root != GENESIS_HASH {
             let Some((_, root_block)) = blocks.next() else {
@@ -1016,7 +498,8 @@ impl<P: PreparedPow> ForkTree<P> {
                     got: [0u8; 32],
                 });
             };
-            let (digest, cost_ratio) = self.digest_and_cost_of_header(&root_block.header);
+            let observation = self.observe(&root_block.header);
+            let digest = observation.digest();
             if digest != snapshot.root {
                 return Err(RestoreError::RootMismatch {
                     want: snapshot.root,
@@ -1028,23 +511,17 @@ impl<P: PreparedPow> ForkTree<P> {
             {
                 return Err(RestoreError::RootPow);
             }
-            self.entries.insert(
+            self.index.insert_root(
                 digest,
-                Entry {
-                    block: root_block.clone(),
-                    height: snapshot.root_height,
-                    work: snapshot.root_work,
-                    cost_ratio,
-                },
+                root_block.clone(),
+                snapshot.root_height,
+                snapshot.root_work,
+                observation.cost_ratio(),
             );
-            self.root = digest;
-            self.tip = digest;
         }
         for (index, block) in blocks {
             if let Err(error) = self.apply(block.clone()) {
-                self.entries.clear();
-                self.tip = GENESIS_HASH;
-                self.root = GENESIS_HASH;
+                self.index.reset(snapshot.rule);
                 return Err(RestoreError::Apply { index, error });
             }
         }
@@ -1071,11 +548,9 @@ impl<P: PreparedPow> ForkTree<P> {
     ///
     /// Returns the first [`ChainError::InvalidBlock`] found.
     pub fn validate_best_chain(&self) -> Result<(), ChainError> {
-        let anchor = if self.root == GENESIS_HASH {
-            GENESIS_HASH
-        } else {
-            self.entries[&self.root].block.header.prev_hash
-        };
+        let anchor = self
+            .block(&self.root())
+            .map_or(GENESIS_HASH, |root| root.header.prev_hash);
         validate_segment(&self.pow, &self.best_chain(), anchor)
     }
 }
@@ -1085,6 +560,7 @@ mod tests {
     use super::*;
     use crate::block::BlockHeader;
     use crate::chain::validate_segment_parallel;
+    use crate::index::SegmentError;
     use hashcore_baselines::{PowFunction, Sha256dPow};
 
     /// Mines a child of `prev` tagged by `tag` at `bits` leading-zero bits.

@@ -1,29 +1,19 @@
 //! Header-only fork choice for light clients.
 //!
-//! A [`HeaderChain`] is the light-client counterpart of
-//! [`ForkTree`](crate::ForkTree): the same strict `(cumulative work,
-//! digest)` fork-choice order and the same per-branch
-//! [`DifficultyRule`](crate::DifficultyRule) enforcement, but over bare
-//! [`BlockHeader`]s — no transaction bodies, no Merkle re-computation, no
-//! PoW-program execution. The caller supplies each header's PoW digest
-//! (one hash evaluation, e.g. via
-//! [`ForkTree::digest_of_header`](crate::ForkTree::digest_of_header)), and
-//! the chain checks it against the header's embedded target. That keeps
-//! verify CPU per header at exactly one hash plus policy arithmetic — the
-//! cost model the light-client workload measures.
-//!
-//! Because fork choice is a function of the stored header *set* alone, a
-//! light client that has seen the same headers as a full node selects the
-//! same tip, whatever the arrival order — the property the light-sync
-//! proptest in `hashcore-net` pins down.
+//! A [`HeaderChain`] keeps bare [`BlockHeader`]s in the same
+//! [`HeaderIndex`] a [`ForkTree`](crate::ForkTree) keeps its blocks in, so
+//! a light client and a full node holding the same headers run the same
+//! fork choice and difficulty rule and select the same tip — the property
+//! the light-sync proptest in `hashcore-net` pins down. The caller supplies
+//! each header's PoW digest and cost ratio (one hash evaluation, e.g.
+//! [`ForkTree::observe`](crate::ForkTree::observe)), which keeps verify CPU
+//! per header at one hash plus policy arithmetic.
 
 use crate::block::BlockHeader;
-use crate::chain::InvalidReason;
-use crate::difficulty::{cost_commitment_of, DifficultyRule};
-use crate::fork::{ForkError, GENESIS_HASH};
-use hashcore::Target;
+use crate::difficulty::DifficultyRule;
+use crate::fork::ForkError;
+use crate::index::{HeaderIndex, Inserted};
 use hashcore_crypto::Digest256;
-use std::collections::HashMap;
 
 /// What [`HeaderChain::accept`] did with a header.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,109 +29,29 @@ pub enum HeaderOutcome {
     },
 }
 
-/// One stored header plus its position in the chain.
-#[derive(Debug, Clone)]
-struct HeaderEntry {
-    header: BlockHeader,
-    height: u64,
-    /// Cumulative expected hash attempts from genesis through this header.
-    work: f64,
-    /// The header's observed verifier-cost ratio, as supplied by the
-    /// caller's hash evaluation (1.0 when none was observed). Drives the
-    /// cost-commitment recurrence under a cost-aware rule.
-    cost_ratio: f64,
-}
-
-/// A header store keyed by PoW digest, with cumulative-work fork choice —
-/// the state a light client maintains instead of a full
-/// [`ForkTree`](crate::ForkTree).
-///
-/// Validation per header: the supplied digest must meet the header's
-/// embedded target, the parent must be stored (or [`GENESIS_HASH`]), and —
-/// on a rule-enforcing chain — the embedded target must equal the
-/// [`DifficultyRule`]'s expectation at that branch position. Bodies are
-/// never seen, so there is no Merkle check here; light clients verify
+/// The state a light client maintains instead of a full
+/// [`ForkTree`](crate::ForkTree): a [`HeaderIndex`] of bare headers. Bodies
+/// are never seen, so there is no Merkle check here; light clients verify
 /// individual transactions against `merkle_root` with batched inclusion
-/// proofs instead.
-#[derive(Debug, Clone, Default)]
-pub struct HeaderChain {
-    entries: HashMap<Digest256, HeaderEntry>,
-    tip: Digest256,
-    /// Difficulty policy enforced per branch; `None` trusts embedded
-    /// targets.
-    rule: Option<DifficultyRule>,
-}
+/// proofs.
+pub type HeaderChain = HeaderIndex<BlockHeader>;
 
-impl HeaderChain {
-    /// Creates an empty chain whose tip is [`GENESIS_HASH`]. Embedded
-    /// targets are trusted; use [`HeaderChain::with_rule`] to enforce a
-    /// difficulty policy along every branch.
+impl HeaderIndex<BlockHeader> {
+    /// Creates an empty chain whose tip is
+    /// [`GENESIS_HASH`](crate::GENESIS_HASH). Embedded targets are trusted;
+    /// use [`HeaderChain::with_rule`] to enforce a difficulty policy along
+    /// every branch.
     pub fn new() -> Self {
-        Self {
-            entries: HashMap::new(),
-            tip: GENESIS_HASH,
-            rule: None,
-        }
+        Self::default()
     }
 
     /// Creates an empty chain that enforces `rule` along every branch,
     /// exactly as [`ForkTree::with_rule`](crate::ForkTree::with_rule) does
     /// for full blocks.
     pub fn with_rule(rule: DifficultyRule) -> Self {
-        let mut chain = Self::new();
-        chain.rule = Some(rule);
+        let mut chain = Self::default();
+        chain.reset(Some(rule));
         chain
-    }
-
-    /// The difficulty rule enforced along every branch, if one was set.
-    pub fn rule(&self) -> Option<&DifficultyRule> {
-        self.rule.as_ref()
-    }
-
-    /// Number of headers stored, across every branch.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no header has been stored yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Digest of the best tip ([`GENESIS_HASH`] for the empty chain).
-    pub fn tip(&self) -> Digest256 {
-        self.tip
-    }
-
-    /// Height of the best tip (number of headers on the best chain).
-    pub fn tip_height(&self) -> u64 {
-        self.height_of(&self.tip)
-    }
-
-    /// Cumulative expected work of the best chain.
-    pub fn tip_work(&self) -> f64 {
-        self.entries.get(&self.tip).map_or(0.0, |e| e.work)
-    }
-
-    /// The best tip's header, if any header has been stored.
-    pub fn tip_header(&self) -> Option<&BlockHeader> {
-        self.entries.get(&self.tip).map(|e| &e.header)
-    }
-
-    /// `true` when a header with this digest is stored.
-    pub fn contains(&self, digest: &Digest256) -> bool {
-        self.entries.contains_key(digest)
-    }
-
-    /// The stored header with this digest, if any.
-    pub fn header(&self, digest: &Digest256) -> Option<&BlockHeader> {
-        self.entries.get(digest).map(|e| &e.header)
-    }
-
-    /// Height of a stored header (0 for [`GENESIS_HASH`], which "stores"
-    /// the empty chain).
-    pub fn height_of(&self, digest: &Digest256) -> u64 {
-        self.entries.get(digest).map_or(0, |e| e.height)
     }
 
     /// Validates and stores a header, advancing the tip if its branch now
@@ -149,18 +59,18 @@ impl HeaderChain {
     /// digest, evaluated by the caller.
     ///
     /// Fork choice is the lexicographic order on `(cumulative work,
-    /// digest)`, byte-identical to
-    /// [`ForkTree::apply`](crate::ForkTree::apply)'s, so a light client and
-    /// a full node holding the same header set agree on the tip.
+    /// digest)`, the same index order
+    /// [`ForkTree::apply`](crate::ForkTree::apply) uses, so a light client
+    /// and a full node holding the same header set agree on the tip.
     ///
     /// # Errors
     ///
     /// [`ForkError::UnknownParent`] when the parent is not stored (the
     /// client should request the connecting headers), or
     /// [`ForkError::InvalidBlock`] when the digest misses the embedded
-    /// target ([`InvalidReason::Pow`]) or — on a rule-enforcing chain —
-    /// the embedded target is not the one the [`DifficultyRule`] expects
-    /// at this branch position ([`InvalidReason::Target`]).
+    /// target ([`InvalidReason::Pow`](crate::InvalidReason::Pow)) or — on a
+    /// rule-enforcing chain — the header fails the [`DifficultyRule`] at
+    /// this branch position.
     pub fn accept(
         &mut self,
         header: BlockHeader,
@@ -171,226 +81,35 @@ impl HeaderChain {
 
     /// [`HeaderChain::accept`] with the header's observed verifier-cost
     /// ratio (from the same hash evaluation that produced `digest`, e.g.
-    /// [`ForkTree::digest_and_cost_of_header`](crate::ForkTree::digest_and_cost_of_header)).
-    /// Under a cost-aware rule the ratio drives the commitment recurrence
-    /// and the per-block admission bound; other rules ignore it.
+    /// [`ForkTree::observe`](crate::ForkTree::observe)). Under a cost-aware
+    /// rule the ratio drives the commitment recurrence and the per-block
+    /// admission bound; other rules ignore it.
+    ///
+    /// # Errors
+    ///
+    /// As [`HeaderChain::accept`].
     pub fn accept_observed(
         &mut self,
         header: BlockHeader,
         digest: Digest256,
         cost_ratio: f64,
     ) -> Result<HeaderOutcome, ForkError> {
-        if self.entries.contains_key(&digest) {
-            return Ok(HeaderOutcome::AlreadyKnown);
-        }
-        // Branch-independent half of the difficulty policy first, exactly
-        // as in `ForkTree::apply`: a fixed rule needs no parent.
-        if let Some(flat) = self.rule.as_ref().and_then(DifficultyRule::flat_target) {
-            if header.target != *flat.threshold() {
-                return Err(ForkError::InvalidBlock {
-                    reason: InvalidReason::Target,
-                });
-            }
-        }
-        let target = Target::from_threshold(header.target);
-        if !target.is_met_by(&digest) {
-            return Err(ForkError::InvalidBlock {
-                reason: InvalidReason::Pow,
-            });
-        }
-        let prev = header.prev_hash;
-        let (parent_height, parent_work) = if prev == GENESIS_HASH {
-            (0, 0.0)
-        } else {
-            match self.entries.get(&prev) {
-                Some(parent) => (parent.height, parent.work),
-                None => {
-                    return Err(ForkError::UnknownParent {
-                        digest,
-                        prev_hash: prev,
-                    })
-                }
-            }
-        };
-        if let Some(rule) = self.rule {
-            // Same order as `ForkTree::apply`: commitment (version word),
-            // then expected target, then the cost admission bound.
-            if let Some(version) = self.expected_child_version(&prev) {
-                if header.version != version {
-                    return Err(ForkError::InvalidBlock {
-                        reason: InvalidReason::Target,
-                    });
-                }
-            }
-            let expected = self
-                .expected_child_target(&prev, header.timestamp)
-                .expect("rule is set and the parent is stored");
-            if header.target != *expected.threshold() {
-                return Err(ForkError::InvalidBlock {
-                    reason: InvalidReason::Target,
-                });
-            }
-            if !rule.admits(expected, &digest, cost_ratio) {
-                return Err(ForkError::InvalidBlock {
-                    reason: InvalidReason::Pow,
-                });
-            }
-        }
-
-        let work = parent_work + target.expected_attempts();
-        self.entries.insert(
-            digest,
-            HeaderEntry {
-                header,
-                height: parent_height + 1,
-                work,
-                cost_ratio,
+        Ok(match self.insert(header, digest, cost_ratio)? {
+            Inserted::AlreadyKnown => HeaderOutcome::AlreadyKnown,
+            Inserted::SideChain => HeaderOutcome::SideChain,
+            Inserted::TipChanged { detached, .. } => HeaderOutcome::TipChanged {
+                reorg_depth: detached.len() as u64,
             },
-        );
-
-        if self.prefers(&digest, work) {
-            let reorg_depth = self.reorg_depth(self.tip, digest);
-            self.tip = digest;
-            Ok(HeaderOutcome::TipChanged { reorg_depth })
-        } else {
-            Ok(HeaderOutcome::SideChain)
-        }
-    }
-
-    /// The target the chain's [`DifficultyRule`] expects of a child of
-    /// `parent` reporting `child_timestamp`. `None` when no rule is
-    /// enforced or `parent` is neither stored nor [`GENESIS_HASH`].
-    pub fn expected_child_target(
-        &self,
-        parent: &Digest256,
-        child_timestamp: u64,
-    ) -> Option<Target> {
-        let rule = self.rule.as_ref()?;
-        if *parent == GENESIS_HASH {
-            return Some(rule.genesis_target());
-        }
-        let entry = self.entries.get(parent)?;
-        let parent_target = Target::from_threshold(entry.header.target);
-        let parent_timestamp = entry.header.timestamp;
-        match rule.cost_aware() {
-            None => Some(rule.child_target(parent_target, parent_timestamp, child_timestamp)),
-            Some(cost) => {
-                let q = cost
-                    .child_commitment(cost_commitment_of(entry.header.version), entry.cost_ratio);
-                Some(cost.child_target(parent_target, parent_timestamp, child_timestamp, q))
-            }
-        }
-    }
-
-    /// The version word the chain's rule expects of a child of `parent` —
-    /// `Some` only under a cost-aware rule (the version carries the
-    /// branch's cost commitment), mirroring
-    /// [`ForkTree::expected_child_version`](crate::ForkTree::expected_child_version).
-    pub fn expected_child_version(&self, parent: &Digest256) -> Option<u32> {
-        let rule = self.rule.as_ref()?;
-        if *parent == GENESIS_HASH {
-            return rule.expected_version(None);
-        }
-        let entry = self.entries.get(parent)?;
-        rule.expected_version(Some((
-            cost_commitment_of(entry.header.version),
-            entry.cost_ratio,
-        )))
-    }
-
-    /// Reported timestamps of up to `window` headers ending at `digest`,
-    /// oldest first — the window the median-time-past timestamp-validity
-    /// rule is computed over. Empty when `digest` stores no header.
-    pub fn ancestor_timestamps(&self, digest: &Digest256, window: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut cursor = *digest;
-        while out.len() < window {
-            let Some(entry) = self.entries.get(&cursor) else {
-                break;
-            };
-            out.push(entry.header.timestamp);
-            cursor = entry.header.prev_hash;
-        }
-        out.reverse();
-        out
-    }
-
-    /// Median-time-past over the up-to-`window` reported timestamps ending
-    /// at `digest`. `None` when `digest` stores no header.
-    pub fn median_time_past(&self, digest: &Digest256, window: usize) -> Option<u64> {
-        let mut timestamps = self.ancestor_timestamps(digest, window);
-        if timestamps.is_empty() {
-            return None;
-        }
-        timestamps.sort_unstable();
-        Some(timestamps[(timestamps.len() - 1) / 2])
-    }
-
-    /// A block locator for the best chain: exponentially sparser digests
-    /// walking back from the tip, ending with [`GENESIS_HASH`] — the same
-    /// shape [`ForkTree::locator`](crate::ForkTree::locator) produces, so
-    /// full nodes serve header requests with the segment machinery they
-    /// already have.
-    pub fn locator(&self) -> Vec<Digest256> {
-        let mut out = Vec::new();
-        let mut cursor = self.tip;
-        let mut step = 1u64;
-        while cursor != GENESIS_HASH {
-            out.push(cursor);
-            if out.len() >= 4 {
-                step *= 2;
-            }
-            for _ in 0..step {
-                cursor = self.parent_of(&cursor);
-                if cursor == GENESIS_HASH {
-                    break;
-                }
-            }
-        }
-        out.push(GENESIS_HASH);
-        out
-    }
-
-    /// `true` when `(work, digest)` beats the current tip in the
-    /// fork-choice order.
-    fn prefers(&self, digest: &Digest256, work: f64) -> bool {
-        if self.tip == GENESIS_HASH {
-            return true;
-        }
-        let tip_work = self.tip_work();
-        work > tip_work || (work == tip_work && *digest < self.tip)
-    }
-
-    /// Parent digest of a stored header ([`GENESIS_HASH`] stays genesis).
-    fn parent_of(&self, digest: &Digest256) -> Digest256 {
-        self.entries
-            .get(digest)
-            .map_or(GENESIS_HASH, |e| e.header.prev_hash)
-    }
-
-    /// How many headers a tip switch from `old` to `new` detaches.
-    fn reorg_depth(&self, old: Digest256, new: Digest256) -> u64 {
-        let mut detached = 0u64;
-        let (mut a, mut b) = (old, new);
-        while self.height_of(&a) > self.height_of(&b) {
-            detached += 1;
-            a = self.parent_of(&a);
-        }
-        while self.height_of(&b) > self.height_of(&a) {
-            b = self.parent_of(&b);
-        }
-        while a != b {
-            detached += 1;
-            a = self.parent_of(&a);
-            b = self.parent_of(&b);
-        }
-        detached
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::InvalidReason;
+    use crate::index::GENESIS_HASH;
+    use hashcore::Target;
     use hashcore_baselines::{PowFunction, Sha256dPow};
 
     /// Mines a header over `prev` that meets an easy (8 leading zero bits)

@@ -19,15 +19,19 @@
 //!   as a pure function of a branch's header timestamps and targets, so
 //!   difficulty is evaluable (and enforceable) along arbitrary fork-tree
 //!   branches, not just a linear history,
-//! * [`ForkTree`] — a block store keyed by header PoW digest with
-//!   cumulative-work fork choice: competing branches race, tip switches
-//!   report their detached/attached segments, and block locators serve the
+//! * [`HeaderIndex`] — the digest-keyed store under both fork-choice
+//!   types: `(work, digest)` fork choice, reorg walks, expected child
+//!   targets, median-time-past, block locators and pruning, with every
+//!   child checked by the one rule step [`DifficultyRule::check_child`]
+//!   (which the segment verifiers run too, from a [`BranchState`]),
+//! * [`ForkTree`] — a [`HeaderIndex`] of full blocks plus the PoW that
+//!   identifies them: competing branches race, tip switches report their
+//!   detached/attached segments, and block locators serve the
 //!   segment-sync protocol of the `hashcore-net` simulation. Built with
 //!   [`ForkTree::with_rule`], it enforces the expected difficulty target
 //!   along every branch,
-//! * [`HeaderChain`] — the header-only counterpart of [`ForkTree`] for
-//!   light clients: identical `(work, digest)` fork choice and per-branch
-//!   difficulty enforcement over bare headers, with no bodies and no
+//! * [`HeaderChain`] — a [`HeaderIndex`] of bare headers for light
+//!   clients: the same fork choice and rule step, with no bodies and no
 //!   Merkle re-computation,
 //! * [`market`] — the mining-market model used by experiment E9: miners
 //!   with heterogeneous capital choose hardware whose efficiency depends on
@@ -55,6 +59,7 @@ mod chain;
 mod difficulty;
 mod fork;
 mod header_chain;
+mod index;
 pub mod market;
 
 pub use block::{Block, BlockHeader};
@@ -64,12 +69,10 @@ pub use chain::{
     ChainError, InvalidReason, PowObservation, RuleContext,
 };
 pub use difficulty::{
-    cost_commitment_of, cost_dequantize, cost_quantize, pack_cost_commitment, CostAwareRetarget,
-    DifficultyRule, EmaRetarget, COST_COMMIT_ONE,
+    cost_commitment_of, cost_dequantize, cost_quantize, pack_cost_commitment, BranchState,
+    CostAwareRetarget, DifficultyRule, EmaRetarget, COST_COMMIT_ONE,
 };
-pub use fork::{
-    ApplyOutcome, ForkError, ForkTree, Reorg, RestoreError, SegmentError, TreeSnapshot,
-    GENESIS_HASH,
-};
+pub use fork::{ApplyOutcome, ForkError, ForkTree, Reorg, RestoreError, TreeSnapshot};
 pub use hashcore_baselines::{PowFunction, PreparedPow};
 pub use header_chain::{HeaderChain, HeaderOutcome};
+pub use index::{HeaderIndex, Indexed, SegmentError, GENESIS_HASH};

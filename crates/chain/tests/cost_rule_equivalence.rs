@@ -3,10 +3,15 @@
 //! [`DifficultyRule::CostAware`] accept and reject *exactly* the same
 //! header sequence — valid extensions, forks, wrong commitments, wrong
 //! targets, and expensive-but-inadmissible seeds alike — and agree on the
-//! tip after every step. This is the regression pin for the
-//! always-observe/conditionally-enforce split: both validators read the
-//! same `(digest, cost ratio)` observation from one hash evaluation, so a
-//! light node needs no bodies to enforce the cost commitments.
+//! tip after every step.
+//!
+//! Both types wrap one `HeaderIndex` and run one child-rule step
+//! ([`DifficultyRule::check_child`]), so they agree by construction; this
+//! suite is the end-to-end oracle for that sharing. It drives both public
+//! entry points — `ForkTree::apply` hashing a block, `HeaderChain` fed the
+//! `(digest, cost ratio)` observation of one hash evaluation — so a change
+//! that lets the two paths diverge again (a check moved into one wrapper,
+//! an observation read differently) fails here.
 
 use hashcore::Target;
 use hashcore_baselines::Sha256dPow;
@@ -78,7 +83,8 @@ impl Twins {
     /// on the mined cost factors, which this test does not script).
     /// Returns the header's digest.
     fn feed(&mut self, header: BlockHeader, expect: Option<Verdict>) -> Digest256 {
-        let (digest, cost_ratio) = self.tree.digest_and_cost_of_header(&header);
+        let observation = self.tree.observe(&header);
+        let (digest, cost_ratio) = (observation.digest(), observation.cost_ratio());
         let from_tree = tree_verdict(self.tree.apply(Block {
             header: header.clone(),
             transactions: Vec::new(),
@@ -116,7 +122,8 @@ impl Twins {
             nonce: 0,
         };
         loop {
-            let (digest, cost_ratio) = self.tree.digest_and_cost_of_header(&header);
+            let observation = self.tree.observe(&header);
+            let (digest, cost_ratio) = (observation.digest(), observation.cost_ratio());
             if expected.is_met_by(&digest) && rule.admits(expected, &digest, cost_ratio) {
                 return header;
             }
@@ -146,7 +153,8 @@ impl Twins {
             nonce: 0,
         };
         loop {
-            let (digest, cost_ratio) = self.tree.digest_and_cost_of_header(&header);
+            let observation = self.tree.observe(&header);
+            let (digest, cost_ratio) = (observation.digest(), observation.cost_ratio());
             if expected.is_met_by(&digest) && !rule.admits(expected, &digest, cost_ratio) {
                 return header;
             }
@@ -215,7 +223,7 @@ fn fork_tree_and_header_chain_reject_the_same_invalid_headers() {
     wrong_commit.version = wrong_commit.version.wrapping_add(1 << 16);
     let embedded = Target::from_threshold(wrong_commit.target);
     loop {
-        let (digest, _) = twins.tree.digest_and_cost_of_header(&wrong_commit);
+        let digest = twins.tree.observe(&wrong_commit).digest();
         if embedded.is_met_by(&digest) {
             break;
         }
@@ -246,7 +254,7 @@ fn fork_tree_and_header_chain_reject_the_same_invalid_headers() {
         // Re-mine the PoW against the (stale) embedded target so the
         // failure is unambiguously the policy, not the hash.
         loop {
-            let (digest, _) = twins.tree.digest_and_cost_of_header(&wrong_target);
+            let digest = twins.tree.observe(&wrong_target).digest();
             if Target::from_threshold(stale).is_met_by(&digest) {
                 break;
             }
@@ -279,7 +287,7 @@ fn fork_tree_and_header_chain_reject_the_same_invalid_headers() {
         target: [0xFF; 32],
         nonce: 0,
     };
-    let (digest, _) = twins.tree.digest_and_cost_of_header(&orphan);
+    let digest = twins.tree.observe(&orphan).digest();
     twins.feed(
         orphan,
         Some(Verdict::Rejected(ForkError::UnknownParent {

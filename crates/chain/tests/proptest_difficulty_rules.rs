@@ -13,7 +13,7 @@
 use hashcore::Target;
 use hashcore_chain::{
     cost_commitment_of, cost_dequantize, cost_quantize, pack_cost_commitment, Block, BlockHeader,
-    CostAwareRetarget, DifficultyRule, EmaRetarget, COST_COMMIT_ONE,
+    BranchState, CostAwareRetarget, DifficultyRule, EmaRetarget, COST_COMMIT_ONE,
 };
 use proptest::prelude::*;
 
@@ -78,18 +78,20 @@ fn block_with(version: u32, timestamp: u64, target: Target) -> Block {
 /// block's observed cost ratio feeding its successor's commitment.
 fn build_rule_chain(rule: &DifficultyRule, steps: &[(u64, u32)]) -> Vec<Block> {
     let mut blocks = Vec::new();
-    let mut prev: Option<(Target, u64)> = None;
-    let mut commitment = None;
+    let mut parent: Option<BranchState> = None;
     let mut timestamp = 0u64;
     for &(gap, ratio_pct) in steps {
         timestamp += gap;
-        let version = rule.expected_version(commitment).unwrap_or(1);
+        let version = rule.expected_child_version(parent.as_ref()).unwrap_or(1);
+        let prev = parent.map(|p| (p.target, p.timestamp));
         let expected = rule.committed_child_target(prev, timestamp, version);
         blocks.push(block_with(version, timestamp, expected));
-        prev = Some((expected, timestamp));
-        commitment = rule
-            .cost_aware()
-            .map(|_| (cost_commitment_of(version), f64::from(ratio_pct) / 100.0));
+        parent = Some(BranchState {
+            target: expected,
+            timestamp,
+            commitment: cost_commitment_of(version),
+            cost_ratio: f64::from(ratio_pct) / 100.0,
+        });
     }
     blocks
 }
@@ -263,8 +265,14 @@ proptest! {
                 rule.committed_child_target(prev, child_ts, version),
                 rule.committed_child_target(prev, child_ts, 1),
             );
-            prop_assert_eq!(rule.expected_version(None), None);
-            prop_assert_eq!(rule.expected_version(Some((COST_COMMIT_ONE, ratio))), None);
+            let nominal_parent = BranchState {
+                target: parent,
+                timestamp: parent_ts,
+                commitment: COST_COMMIT_ONE,
+                cost_ratio: ratio,
+            };
+            prop_assert_eq!(rule.expected_child_version(None), None);
+            prop_assert_eq!(rule.expected_child_version(Some(&nominal_parent)), None);
             prop_assert!(rule.admits(parent, &digest, ratio));
         }
         prop_assert_eq!(

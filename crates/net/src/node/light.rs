@@ -207,9 +207,11 @@ where
             // Hashing a HashCore header runs its widget program anyway, so
             // the verifier-cost observation the cost-aware rule needs comes
             // free with the digest.
-            let (digest, cost_ratio) = self.tree.digest_and_cost_of_header(&header);
+            let observation = self.tree.observe(&header);
+            let (digest, cost_ratio) = (observation.digest(), observation.cost_ratio());
             self.stats.verify_hash_ops += 1;
-            if !self.header_timestamp_plausible(now_ms, &header) {
+            let headers = &self.light.as_ref().expect("light role").headers;
+            if !self.timestamp_plausible(now_ms, &header, headers) {
                 self.stats.rejections.timestamp += 1;
                 self.penalize(from);
                 break;
@@ -292,7 +294,7 @@ where
             return Vec::new();
         }
         light.proof_inflight = None;
-        let Some(header) = light.headers.header(&block) else {
+        let Some(header) = light.headers.get(&block) else {
             self.stats.rejections.unsolicited_proof += 1;
             return Vec::new();
         };
@@ -323,29 +325,5 @@ where
             let tip = light.headers.tip();
             self.request_proof(now_ms, tip)
         }
-    }
-
-    /// Future-drift plus median-time-past over the light header chain —
-    /// the same [`TimestampRule`](super::TimestampRule) full nodes apply,
-    /// evaluated against headers instead of blocks.
-    fn header_timestamp_plausible(&self, now_ms: u64, header: &BlockHeader) -> bool {
-        let Some(rule) = self.timestamp_rule else {
-            return true;
-        };
-        if header.timestamp > now_ms.saturating_add(rule.max_future_drift_ms) {
-            return false;
-        }
-        let light = self.light.as_ref().expect("light role");
-        if header.prev_hash != GENESIS_HASH && light.headers.contains(&header.prev_hash) {
-            if let Some(mtp) = light
-                .headers
-                .median_time_past(&header.prev_hash, rule.mtp_window)
-            {
-                if header.timestamp <= mtp {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }

@@ -106,7 +106,7 @@ pub enum Message {
     GetSegment {
         /// PoW digest of the block whose ancestry the requester is missing.
         want: Digest256,
-        /// The requester's best-chain locator (see `ForkTree::locator`).
+        /// The requester's best-chain locator (see `HeaderIndex::locator`).
         locator: Vec<Digest256>,
     },
     /// Response to `GetSegment`: a contiguous segment, ascending height.
@@ -114,7 +114,7 @@ pub enum Message {
     /// Light-client request for headers above the requester's locator.
     GetHeaders {
         /// The requester's best-header-chain locator (same shape as
-        /// `ForkTree::locator`).
+        /// `HeaderIndex::locator`).
         locator: Vec<Digest256>,
     },
     /// Response to `GetHeaders`: consecutive headers ascending height, at

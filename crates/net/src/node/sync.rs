@@ -1,11 +1,10 @@
 //! Segment sync: orphan-triggered requests, the timeout/retry round-robin,
 //! and batched segment validation feeding the fork tree.
 
-use hashcore::Target;
 use hashcore_baselines::PreparedPow;
 use hashcore_chain::{
-    cost_commitment_of, validate_segment_parallel_with_rule, ApplyOutcome, Block, ForkError,
-    InvalidReason, Reorg, RuleContext, GENESIS_HASH,
+    validate_segment_parallel_with_rule, ApplyOutcome, Block, ForkError, InvalidReason, Reorg,
+    RuleContext, GENESIS_HASH,
 };
 use hashcore_crypto::Digest256;
 use std::time::Instant;
@@ -44,7 +43,7 @@ where
         // parent window's median-time-past when the parent chain is known.
         // (An orphan is only drift-checked here; the segment delivering
         // its ancestry re-walks the full window.)
-        if !self.block_timestamp_plausible(now_ms, &block) {
+        if !self.timestamp_plausible(now_ms, &block.header, &self.tree) {
             self.stats.rejections.timestamp += 1;
             self.penalize(from);
             return Vec::new();
@@ -228,7 +227,10 @@ where
                 return Vec::new();
             }
         }
-        if anchor != GENESIS_HASH && !self.tree.contains(&anchor) {
+        // The anchor's branch state: `None` for a genesis anchor, and for
+        // an anchor this tree does not store, which cannot be verified.
+        let anchor_state = self.tree.branch_state(&anchor);
+        if anchor != GENESIS_HASH && anchor_state.is_none() {
             return Vec::new();
         }
         // Branch-aware target policy: with the anchor resolved, every
@@ -237,14 +239,8 @@ where
         // verifier burns any hash work. Fixed rules skip this: the flat
         // scan above already proved every target, so the walk cannot fire.
         if self.rule().flat_target().is_none() {
-            let anchor_state = (anchor != GENESIS_HASH).then(|| {
-                let block = self.tree.block(&anchor).expect("anchor checked above");
-                (
-                    Target::from_threshold(block.header.target),
-                    block.header.timestamp,
-                )
-            });
-            if !self.rule().segment_targets_valid(anchor_state, &blocks) {
+            let prev = anchor_state.map(|state| (state.target, state.timestamp));
+            if !self.rule().segment_targets_valid(prev, &blocks) {
                 self.stats.rejections.target_policy += 1;
                 self.penalize(from);
                 return Vec::new();
@@ -270,15 +266,7 @@ where
         // skip the walk; the verifier still returns its observations.
         let ctx = self.rule().cost_aware().is_some().then(|| RuleContext {
             rule: self.rule(),
-            anchor: (anchor != GENESIS_HASH).then(|| {
-                let block = self.tree.block(&anchor).expect("anchor checked above");
-                (
-                    Target::from_threshold(block.header.target),
-                    block.header.timestamp,
-                    cost_commitment_of(block.header.version),
-                    self.tree.cost_ratio_of(&anchor),
-                )
-            }),
+            anchor: anchor_state,
         });
         let started = Instant::now();
         let verdict = validate_segment_parallel_with_rule(

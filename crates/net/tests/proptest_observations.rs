@@ -4,7 +4,8 @@
 //! verifier already computed instead of hashing it again, so the
 //! observations themselves become consensus inputs. Over random segments —
 //! valid, or carrying one [`Corruption`] at a random height — with and
-//! without a cost-aware rule, at 1, 2 and 3 threads:
+//! without a cost-aware rule (whose initial target is a power of two or
+//! not), at 1, 2 and 3 threads:
 //!
 //! - the verdict equals the naive one: [`validate_segment`] without a
 //!   rule, block-by-block [`ForkTree::apply`] with one;
@@ -17,23 +18,34 @@ use hashcore::Target;
 use hashcore_baselines::{PowFunction, Sha256dPow};
 use hashcore_chain::{
     cost_commitment_of, validate_segment, validate_segment_parallel_with_rule,
-    validate_segment_with_rule, Block, BlockHeader, ChainError, CostAwareRetarget, DifficultyRule,
-    EmaRetarget, ForkError, ForkTree, InvalidReason, PowObservation, RuleContext, GENESIS_HASH,
+    validate_segment_with_rule, Block, BlockHeader, BranchState, ChainError, CostAwareRetarget,
+    DifficultyRule, EmaRetarget, ForkError, ForkTree, InvalidReason, PowObservation, RuleContext,
+    GENESIS_HASH,
 };
 use hashcore_crypto::Digest256;
 use hashcore_net::Corruption;
 use proptest::prelude::*;
 use std::panic::{self, AssertUnwindSafe};
 
-fn ema() -> EmaRetarget {
-    EmaRetarget::new(Target::from_leading_zero_bits(4), 1_000.0, 0.5)
+fn ema(initial: Target) -> EmaRetarget {
+    EmaRetarget::new(initial, 1_000.0, 0.5)
 }
 
-fn rule(cost_aware: bool) -> DifficultyRule {
-    if cost_aware {
-        DifficultyRule::CostAware(CostAwareRetarget::new(ema(), 0.5, 1.0))
-    } else {
-        DifficultyRule::Ema(ema())
+/// The rule under test: plain EMA, or cost-aware over a power-of-two or a
+/// non-power-of-two initial target. The latter is the case where scaling
+/// the genesis target by a factor of 1.0 through `f64` changes it.
+fn rule(pick: usize) -> DifficultyRule {
+    let pow2 = Target::from_leading_zero_bits(4);
+    let mut uneven = [0xFF; 32];
+    uneven[0] = 0x0F;
+    match pick {
+        0 => DifficultyRule::Ema(ema(pow2)),
+        1 => DifficultyRule::CostAware(CostAwareRetarget::new(ema(pow2), 0.5, 1.0)),
+        _ => DifficultyRule::CostAware(CostAwareRetarget::new(
+            ema(Target::from_threshold(uneven)),
+            0.5,
+            1.0,
+        )),
     }
 }
 
@@ -157,13 +169,14 @@ proptest! {
 
     #[test]
     fn verifier_observations_match_their_oracles(
-        cost_aware in any::<bool>(),
+        rule_pick in 0usize..3,
         gaps in prop::collection::vec(700u64..1_400, 3..18),
         prefix_pick in 0usize..64,
         class_pick in 0usize..5,
         at_pick in 0usize..64,
     ) {
-        let rule = rule(cost_aware);
+        let rule = rule(rule_pick);
+        let cost_aware = rule.cost_aware().is_some();
         let chain = mine_chain(rule, &gaps);
         let prefix_len = prefix_pick % (chain.len() / 2 + 1);
         let (prefix, segment) = chain.split_at(prefix_len);
@@ -177,13 +190,11 @@ proptest! {
         let anchor = prefix.last().map_or(GENESIS_HASH, |b| digest(&b.header));
         let ctx = cost_aware.then(|| RuleContext {
             rule: &rule,
-            anchor: prefix.last().map(|b| {
-                (
-                    Target::from_threshold(b.header.target),
-                    b.header.timestamp,
-                    cost_commitment_of(b.header.version),
-                    tree.cost_ratio_of(&anchor),
-                )
+            anchor: prefix.last().map(|b| BranchState {
+                target: Target::from_threshold(b.header.target),
+                timestamp: b.header.timestamp,
+                commitment: cost_commitment_of(b.header.version),
+                cost_ratio: tree.cost_ratio_of(&anchor),
             }),
         });
 

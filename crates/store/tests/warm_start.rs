@@ -53,7 +53,8 @@ fn mine_next(tree: &mut ForkTree<Sha256dPow>, timestamp: u64) -> Block {
         nonce: 0,
     };
     loop {
-        let (digest, cost_ratio) = tree.digest_and_cost_of_header(&header);
+        let observation = tree.observe(&header);
+        let (digest, cost_ratio) = (observation.digest(), observation.cost_ratio());
         if expected.is_met_by(&digest) && rule.admits(expected, &digest, cost_ratio) {
             return Block {
                 header,

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Declarative acceptance gates over the BENCH_*.json artifacts.
 #
-# Each gate is one `<artifact>|<literal line fragment>` entry below: the
-# artifact must exist, be non-empty, and contain the fragment verbatim
-# (fixed-string grep, so JSON quotes need no escaping). CI invokes this
+# Each gate is one `<artifact>|<top-level key: value>` entry below: the
+# artifact must exist, be non-empty, and contain the entry as a whole line
+# at the top-level indent (two spaces), with or without a trailing comma.
+# Matching whole lines keeps a gate from passing on a nested per-scenario
+# row (`      "runs_identical": true`) or on a longer key that ends in the
+# same text (`"scenario_spam_accepted": 0`). Fixed-string grep, so JSON
+# quotes need no escaping. CI invokes this
 # script once per bench step with the artifact name as the argument —
 # only that artifact's gates run, keeping failure attribution per step —
 # and a bare invocation checks every artifact at once for local runs.
@@ -68,7 +72,7 @@ for gate in "${selected[@]}"; do
     failures=$((failures + 1))
     continue
   fi
-  if grep -qF "$fragment" "$artifact"; then
+  if grep -qxF -e "  $fragment" -e "  $fragment," "$artifact"; then
     echo "  ok $artifact: $fragment"
   else
     echo "FAIL $artifact: $fragment" >&2
